@@ -17,9 +17,12 @@
 //! The standard prelude (list and vector utilities written in
 //! mini-Scheme) is appended automatically; unused prelude definitions
 //! are pruned by a reachability pass so they do not distort static
-//! statistics.
+//! statistics. The prelude is parsed and desugared once per process,
+//! together with the graph of which prelude defines name which, so a
+//! compile reads only the user's source and walks that graph.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::OnceLock;
 
 use lesgs_sexpr::{parse, Datum};
 
@@ -217,6 +220,50 @@ fn free_names_of(e: &SurfaceExpr) -> HashSet<String> {
     out
 }
 
+/// The standard prelude, parsed and desugared once per process.
+struct Prelude {
+    /// Desugared defines in prelude order.
+    defines: Vec<(String, SurfaceExpr)>,
+    /// Each define's index, by name.
+    index: HashMap<String, usize>,
+    /// For each define, the indices of the prelude defines its body
+    /// names.
+    deps: Vec<Vec<usize>>,
+}
+
+fn prelude() -> &'static Prelude {
+    static CELL: OnceLock<Prelude> = OnceLock::new();
+    CELL.get_or_init(|| {
+        let defines: Vec<(String, SurfaceExpr)> = parse(PRELUDE)
+            .expect("prelude parses")
+            .iter()
+            .map(|form| {
+                let items = form.as_slice().expect("prelude form is a list");
+                desugar::split_define(items).expect("prelude desugars")
+            })
+            .collect();
+        let index: HashMap<String, usize> = defines
+            .iter()
+            .enumerate()
+            .map(|(i, (name, _))| (name.clone(), i))
+            .collect();
+        let deps = defines
+            .iter()
+            .map(|(_, rhs)| {
+                free_names_of(rhs)
+                    .iter()
+                    .filter_map(|n| index.get(n).copied())
+                    .collect()
+            })
+            .collect();
+        Prelude {
+            defines,
+            index,
+            deps,
+        }
+    })
+}
+
 impl SurfaceProgram {
     /// Parses and desugars a program from source text. The standard
     /// prelude is appended; user definitions shadow prelude ones.
@@ -226,7 +273,6 @@ impl SurfaceProgram {
     /// Returns [`FrontError`] on reader or desugaring failures.
     pub fn from_source(src: &str) -> Result<SurfaceProgram, FrontError> {
         let user_forms = parse(src).map_err(|e| FrontError::Parse(e.to_string()))?;
-        let prelude_forms = parse(PRELUDE).expect("prelude parses");
 
         let mut set_targets = HashSet::new();
         for d in &user_forms {
@@ -235,61 +281,48 @@ impl SurfaceProgram {
 
         let mut defines: Vec<(String, SurfaceExpr)> = Vec::new();
         let mut mains = Vec::new();
-        let mut user_defined: HashSet<String> = HashSet::new();
-
         for form in &user_forms {
             if form.is_form("define") {
                 let items = form.as_slice().expect("define is a list");
-                let (name, rhs) = desugar::split_define(items)?;
-                user_defined.insert(name.clone());
-                defines.push((name, rhs));
+                defines.push(desugar::split_define(items)?);
             } else {
                 mains.push(desugar::expr(form)?);
             }
         }
 
-        // Prune prelude definitions not transitively reachable from the
-        // user program.
-        let mut prelude_defs: Vec<(String, SurfaceExpr)> = Vec::new();
-        let mut prelude_index: HashMap<String, usize> = HashMap::new();
-        for form in &prelude_forms {
-            let items = form.as_slice().expect("prelude form is a list");
-            let (name, rhs) = desugar::split_define(items)?;
-            if user_defined.contains(&name) {
-                continue; // user definition shadows the prelude
+        // Link the prelude defines transitively reachable from the user
+        // program. A user define shadows the prelude one of the same
+        // name, which then neither links nor is walked through.
+        let prelude = prelude();
+        let mut shadowed = vec![false; prelude.defines.len()];
+        for (name, _) in &defines {
+            if let Some(&i) = prelude.index.get(name) {
+                shadowed[i] = true;
             }
-            prelude_index.insert(name.clone(), prelude_defs.len());
-            prelude_defs.push((name, rhs));
         }
-
-        let mut wanted: Vec<String> = Vec::new();
-        let mut seen: HashSet<String> = HashSet::new();
-        let enqueue =
-            |names: HashSet<String>, wanted: &mut Vec<String>, seen: &mut HashSet<String>| {
-                for n in names {
-                    if prelude_index.contains_key(&n) && seen.insert(n.clone()) {
-                        wanted.push(n);
-                    }
-                }
-            };
-        for (_, rhs) in &defines {
-            enqueue(free_names_of(rhs), &mut wanted, &mut seen);
+        let mut user_free = HashSet::new();
+        for e in defines.iter().map(|(_, rhs)| rhs).chain(&mains) {
+            free_names(e, &mut Vec::new(), &mut user_free);
         }
-        for m in &mains {
-            enqueue(free_names_of(m), &mut wanted, &mut seen);
-        }
-        let mut i = 0;
-        while i < wanted.len() {
-            let idx = prelude_index[&wanted[i]];
-            let names = free_names_of(&prelude_defs[idx].1);
-            enqueue(names, &mut wanted, &mut seen);
-            i += 1;
+        let mut pending: Vec<usize> = user_free
+            .iter()
+            .filter_map(|n| prelude.index.get(n).copied())
+            .collect();
+        let mut linked = vec![false; prelude.defines.len()];
+        while let Some(i) = pending.pop() {
+            if !shadowed[i] && !linked[i] {
+                linked[i] = true;
+                pending.extend(&prelude.deps[i]);
+            }
         }
 
         // Keep prelude order for determinism, prepending before user code.
-        let mut all_defines: Vec<(String, SurfaceExpr)> = prelude_defs
-            .into_iter()
-            .filter(|(n, _)| seen.contains(n))
+        let mut all_defines: Vec<(String, SurfaceExpr)> = prelude
+            .defines
+            .iter()
+            .zip(&linked)
+            .filter(|(_, &l)| l)
+            .map(|(d, _)| d.clone())
             .collect();
         all_defines.extend(defines);
 

@@ -8,7 +8,7 @@ use lesgs_frontend::VarId;
 use crate::value::Value;
 
 #[derive(Debug)]
-struct EnvNode {
+pub(crate) struct EnvNode {
     var: VarId,
     val: RefCell<Value>,
     next: Env,
@@ -67,6 +67,23 @@ impl Env {
             cur = &node.next.0;
         }
         false
+    }
+
+    /// A weak handle on the innermost frame.
+    #[cfg(test)]
+    pub(crate) fn downgrade(&self) -> Option<std::rc::Weak<EnvNode>> {
+        self.0.as_ref().map(Rc::downgrade)
+    }
+
+    /// Overwrites the innermost `n` bindings with the unspecified value,
+    /// dropping what they held.
+    pub(crate) fn clear_innermost(&self, n: usize) {
+        let mut cur = &self.0;
+        for _ in 0..n {
+            let Some(node) = cur else { break };
+            *node.val.borrow_mut() = Value::Void;
+            cur = &node.next.0;
+        }
     }
 }
 

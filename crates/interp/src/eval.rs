@@ -215,6 +215,10 @@ pub struct Interp {
     output: String,
     globals: Vec<Value>,
     depth: u64,
+    /// Every `letrec` frame built this run, with its binding count.
+    /// Its closures capture the frame that binds them, an `Rc` cycle
+    /// that [`Interp::run`] breaks when the run ends.
+    letrec_frames: Vec<(Env, usize)>,
 }
 
 impl Interp {
@@ -226,6 +230,7 @@ impl Interp {
             depth: 0,
             output: String::new(),
             globals: Vec::new(),
+            letrec_frames: Vec::new(),
         }
     }
 
@@ -244,12 +249,18 @@ impl Interp {
     /// exhaustion.
     pub fn run(&mut self, program: &Expr<VarId>) -> Result<Outcome> {
         let lowered = lower(program);
-        let value = self.eval(lowered, Env::empty())?;
-        Ok(Outcome {
+        let outcome = self.eval(lowered, Env::empty()).map(|value| Outcome {
             value: value.write_string(),
             output: std::mem::take(&mut self.output),
             steps: self.steps,
-        })
+        });
+        // The outcome holds only strings, so no value of this run is
+        // reachable any more: clearing the letrec bindings frees the
+        // closures and frames they keep alive.
+        for (frame, n) in self.letrec_frames.drain(..) {
+            frame.clear_innermost(n);
+        }
+        outcome
     }
 
     fn tick(&mut self) -> Result<()> {
@@ -341,6 +352,7 @@ impl Interp {
                     for (v, _) in bs {
                         env = env.bind(*v, Value::Void);
                     }
+                    self.letrec_frames.push((env.clone(), bs.len()));
                     for (v, lam) in bs {
                         let clo = self.eval(lam.clone(), env.clone())?;
                         env.set(*v, clo);
@@ -601,6 +613,7 @@ impl Interp {
 
 #[cfg(test)]
 mod tests {
+    use super::*;
     use crate::run_source;
 
     fn value(src: &str) -> String {
@@ -742,6 +755,27 @@ mod tests {
     fn quoted_data_is_shared() {
         // The same quote expression evaluates to the same object.
         assert_eq!(value("(define (f) '(a)) (eq? (f) (f))"), "#t");
+    }
+
+    #[test]
+    fn run_frees_letrec_frames() {
+        // The closure bound by the letrec captures the frame that binds
+        // it. The global keeps the closure alive until the interpreter
+        // drops; after that only the cycle could keep the frame.
+        let src = "(define g (letrec ((f (lambda () (f)))) f)) 0";
+        let program = lesgs_frontend::program::SurfaceProgram::from_source(src).unwrap();
+        let (assembled, globals) = program.assemble();
+        let mut renamer = lesgs_frontend::rename::Renamer::new();
+        renamer.set_globals(&globals);
+        let renamed = renamer.rename(&assembled).unwrap();
+        let mut interp = Interp::new(1_000).with_globals(globals.len() as u32);
+        assert_eq!(interp.run(&renamed).unwrap().value, "0");
+        let Value::Closure(clo) = &interp.globals[0] else {
+            panic!("g is not a closure: {:?}", interp.globals[0]);
+        };
+        let frame = clo.env.downgrade().expect("the closure captures a frame");
+        drop(interp);
+        assert!(frame.upgrade().is_none(), "letrec frame outlived its run");
     }
 
     #[test]

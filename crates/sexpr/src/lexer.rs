@@ -150,22 +150,33 @@ impl<'a> Lexer<'a> {
     }
 
     fn lex_string(&mut self) -> Result<TokenKind, LexError> {
+        // Copy the source between escapes as `&str` slices so multi-byte
+        // UTF-8 characters survive; `"` and `\\` are ASCII, so every cut
+        // falls on a character boundary.
         let mut out = String::new();
+        let mut start = self.pos;
         loop {
             match self.bump() {
                 None => return Err(self.err("unterminated string literal")),
-                Some(b'"') => return Ok(TokenKind::Str(out)),
-                Some(b'\\') => match self.bump() {
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'"') => out.push('"'),
-                    Some(c) => {
-                        return Err(self.err(format!("unknown string escape `\\{}`", c as char)))
+                Some(b'"') => {
+                    out.push_str(&self.src[start..self.pos - 1]);
+                    return Ok(TokenKind::Str(out));
+                }
+                Some(b'\\') => {
+                    out.push_str(&self.src[start..self.pos - 1]);
+                    match self.bump() {
+                        Some(b'n') => out.push('\n'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'"') => out.push('"'),
+                        Some(c) => {
+                            return Err(self.err(format!("unknown string escape `\\{}`", c as char)))
+                        }
+                        None => return Err(self.err("unterminated string escape")),
                     }
-                    None => return Err(self.err("unterminated string escape")),
-                },
-                Some(b) => out.push(b as char),
+                    start = self.pos;
+                }
+                Some(_) => {}
             }
         }
     }
@@ -324,6 +335,18 @@ mod tests {
         assert_eq!(
             kinds(r#""a\nb" "q\"q""#),
             vec![TokenKind::Str("a\nb".into()), TokenKind::Str("q\"q".into()),]
+        );
+    }
+
+    #[test]
+    fn strings_keep_utf8_characters() {
+        assert_eq!(
+            kinds(r#""héllo" "λ\n→" "日本""#),
+            vec![
+                TokenKind::Str("héllo".into()),
+                TokenKind::Str("λ\n→".into()),
+                TokenKind::Str("日本".into()),
+            ]
         );
     }
 

@@ -100,3 +100,15 @@ fn shipped_scheme_examples_pass_differential_check() {
             .unwrap_or_else(|e| panic!("{file}: {e}"));
     }
 }
+
+/// Non-ASCII string literals print the same UTF-8 bytes through the
+/// interpreter and the compiled VM.
+#[test]
+fn utf8_string_literals_print_identically() {
+    let src = r#"(display "héllo") (newline) (write "λ→日本") (string-length "héllo")"#;
+    let oracle = lesgs::interp::run_source(src, 1_000_000).expect("interpreter runs");
+    let vm = lesgs::compiler::run_source(src, &Default::default()).expect("compiler runs");
+    assert_eq!(oracle.output, "héllo\n\"λ→日本\"");
+    assert_eq!(vm.output.as_bytes(), oracle.output.as_bytes());
+    assert_eq!(vm.value, oracle.value);
+}

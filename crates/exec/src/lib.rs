@@ -7,8 +7,8 @@
 //! shape, with zero third-party dependencies:
 //!
 //! * [`map_ordered`] — runs jobs on a fixed-size pool of scoped worker
-//!   threads ([`std::thread::scope`] + channels) and returns the
-//!   results **in submission order**, so a parallel driver's output is
+//!   threads ([`std::thread::scope`]) and returns the results **in
+//!   submission order**, so a parallel driver's output is
 //!   byte-identical to the sequential one.
 //! * [`for_each_ordered`] — the streaming sibling for long campaigns:
 //!   jobs are dispatched in bounded chunks and each result is visited

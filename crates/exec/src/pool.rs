@@ -1,14 +1,14 @@
 //! The fixed-size scoped worker pool.
 //!
 //! Jobs are drawn from a shared queue by a fixed set of scoped worker
-//! threads and their results funneled back over a channel tagged with
-//! the submission index, so the caller can reassemble them in order no
-//! matter how execution interleaved. Panics are caught per job
-//! ([`std::panic::catch_unwind`]) and become that job's result; the
-//! worker survives and moves on to the next job.
+//! threads; each worker keeps its results tagged with the submission
+//! index and returns them when it joins, so the caller can reassemble
+//! them in order no matter how execution interleaved. Panics are
+//! caught per job ([`std::panic::catch_unwind`]) and become that job's
+//! result; the worker survives and moves on to the next job.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Mutex};
+use std::sync::Mutex;
 use std::thread;
 use std::time::Instant;
 
@@ -118,14 +118,15 @@ where
     let start = Instant::now();
     // The queue is an iterator behind a mutex: workers pull the next
     // (index, item) pair; no work is assigned ahead of time, so a slow
-    // job never delays unrelated ones beyond worker availability.
+    // job never delays unrelated ones beyond worker availability. Each
+    // worker keeps its own results and hands them back when it joins,
+    // so the calling thread sleeps until the pool is done instead of
+    // waking once per job to compete with the workers for a core.
     let queue = Mutex::new(items.into_iter().enumerate());
-    let (tx, rx) = mpsc::channel::<(usize, JobResult<T>, f64, f64)>();
 
     thread::scope(|s| {
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
-            let tx = tx.clone();
             let queue = &queue;
             let f = &f;
             let init = cfg.worker_init;
@@ -138,6 +139,7 @@ where
                     if let Some(init) = init {
                         init();
                     }
+                    let mut done = Vec::new();
                     let mut busy_ns = 0.0f64;
                     loop {
                         let job = {
@@ -160,32 +162,28 @@ where
                             });
                         let run_ns = t0.elapsed().as_nanos() as f64;
                         busy_ns += run_ns;
-                        // The receiver outlives the scope; a send can
-                        // only fail if the collector below vanished,
-                        // which would itself be a scope panic.
-                        let _ = tx.send((index, result, wait_ns, run_ns));
+                        done.push((index, result, wait_ns, run_ns));
                     }
-                    busy_ns
+                    (done, busy_ns)
                 })
                 .expect("spawn pool worker");
             handles.push(handle);
         }
-        drop(tx);
-        // Collect on the scope's own thread while workers run.
-        for (index, result, wait_ns, run_ns) in rx {
-            if result.is_err() {
-                stats.panicked += 1;
-            } else {
-                stats.completed += 1;
-            }
-            stats.queue_wait.observe(wait_ns);
-            stats.job_run.observe(run_ns);
-            slots[index] = Some(result);
-        }
         for handle in handles {
-            match handle.join() {
-                Ok(busy_ns) => stats.busy_ns += busy_ns,
+            let (done, busy_ns) = match handle.join() {
+                Ok(worker) => worker,
                 Err(p) => std::panic::resume_unwind(p),
+            };
+            stats.busy_ns += busy_ns;
+            for (index, result, wait_ns, run_ns) in done {
+                if result.is_err() {
+                    stats.panicked += 1;
+                } else {
+                    stats.completed += 1;
+                }
+                stats.queue_wait.observe(wait_ns);
+                stats.job_run.observe(run_ns);
+                slots[index] = Some(result);
             }
         }
     });

@@ -30,7 +30,7 @@ use lesgs_suite::Scale;
 use lesgs_svc::loadgen::WorkloadConfig;
 use lesgs_svc::{BatchStats, Request, Service, ServiceConfig};
 use lesgs_vm::{
-    ClassicMachine, CostModel, DecodeStats, DispatchRunStats, Machine, FUSION_TABLE, TRIPLE_TABLE,
+    ClassicMachine, CostModel, DecodeStats, DispatchRunStats, FusionKind, Machine, TripleKind,
 };
 
 use crate::report::{run_record, Report};
@@ -51,19 +51,11 @@ pub const DISPATCH_TABLE: &str = "dispatch";
 pub const DISPATCH_THROUGHPUT_TABLE: &str = "dispatch_throughput";
 
 /// Name of the deterministic runtime fusion/inline-cache table: per
-/// benchmark, how often each enabled superinstruction actually fired
+/// benchmark, how often each catalogue superinstruction actually fired
 /// on the decoded engine and how stable every closure-call site's
 /// callee was (inline-cache hits/misses/hit rate). Pure counts from a
 /// deterministic run, so the perf-regression gate covers it.
 pub const DISPATCH_FUSION_TABLE: &str = "dispatch_fusion";
-
-/// Name of the deterministic speculative-dispatch accounting table:
-/// per benchmark, how often the decoded engine's speculative
-/// inline-cache fast path fired (`fast hits`), how often its closure
-/// guard failed, and how many sites were demoted to the observational
-/// slow path. Pure counts from a deterministic run, so the
-/// perf-regression gate covers it.
-pub const SPECULATION_TABLE: &str = "speculation";
 
 /// Name of the deterministic three-way shuffle-strategy table:
 /// paper-greedy vs. the exhaustive optimum vs. optimal shuffle code
@@ -199,7 +191,6 @@ pub fn build_suite_report(
     );
     report.add_table(DISPATCH_TABLE, &dispatch_table(&dispatches));
     report.add_table(DISPATCH_FUSION_TABLE, &dispatch_fusion_table(&dispatches));
-    report.add_table(SPECULATION_TABLE, &speculation_table(&dispatches));
     report.add_table(
         DISPATCH_THROUGHPUT_TABLE,
         &dispatch_throughput_table(&dispatches),
@@ -211,19 +202,11 @@ pub fn build_suite_report(
          on every benchmark in this report.",
     );
     report.note(
-        "Dispatch fusion reports, per benchmark, how often each entry of the \
-         measured superinstruction table (crates/vm/src/fusion_table.rs, \
-         regenerated by lesgs-fusegen) fired on the decoded engine — pair \
-         and triple entries alike — and the monomorphic inline-cache \
-         accounting for closure-call sites.",
-    );
-    report.note(
-        "Speculation reports the speculative inline-cache dispatch \
-         accounting: fast-path hits that jumped straight to the cached \
-         callee's decoded code, closure-guard failures, and sites demoted \
-         to the observational slow path. Observable vm.* counters are \
-         byte-identical with speculation off; only these bookkeeping \
-         counters move.",
+        "Dispatch fusion reports, per benchmark, how often each template \
+         of the fixed superinstruction catalogue (crates/vm/src/decode.rs) \
+         fired on the decoded engine — pair and triple templates alike — \
+         and the monomorphic inline-cache accounting for closure-call \
+         sites.",
     );
     report.add_table(SERVICE_CACHE_TABLE, &service_cache_table(&service));
     report.add_table(
@@ -522,9 +505,9 @@ fn measure_dispatch(b: &Benchmark, scale: Scale) -> DispatchMeasurement {
 /// The deterministic decode/fusion statistics table (one row per
 /// benchmark plus a total row).
 fn dispatch_table(dispatches: &[(String, DispatchMeasurement)]) -> Table {
-    // The column set follows the generated fusion table, so a
-    // regenerated catalogue reshapes this table (and the perf gate
-    // sees it as the schema change it is).
+    // The column set follows the fusion catalogue, so a catalogue
+    // change reshapes this table (and the perf gate sees it as the
+    // schema change it is).
     let mut header = vec![
         "benchmark".to_string(),
         "source instrs".into(),
@@ -532,8 +515,8 @@ fn dispatch_table(dispatches: &[(String, DispatchMeasurement)]) -> Table {
         "fused pairs".into(),
         "fused triples".into(),
     ];
-    header.extend(FUSION_TABLE.iter().map(|e| e.kind.key().replace('_', "+")));
-    header.extend(TRIPLE_TABLE.iter().map(|e| e.kind.key().replace('_', "+")));
+    header.extend(FusionKind::ALL.map(|k| k.key().replace('_', "+")));
+    header.extend(TripleKind::ALL.map(|k| k.key().replace('_', "+")));
     let mut t = Table::new(header);
     let mut total = DecodeStats::default();
     let row = |name: &str, s: &DecodeStats| {
@@ -544,8 +527,8 @@ fn dispatch_table(dispatches: &[(String, DispatchMeasurement)]) -> Table {
             s.fused_pairs.to_string(),
             s.fused_triples.to_string(),
         ];
-        cells.extend(FUSION_TABLE.iter().map(|e| s.fused(e.kind).to_string()));
-        cells.extend(TRIPLE_TABLE.iter().map(|e| s.fused3(e.kind).to_string()));
+        cells.extend(FusionKind::ALL.map(|k| s.fused(k).to_string()));
+        cells.extend(TripleKind::ALL.map(|k| s.fused3(k).to_string()));
         cells
     };
     for (name, d) in dispatches {
@@ -567,20 +550,12 @@ fn dispatch_table(dispatches: &[(String, DispatchMeasurement)]) -> Table {
 }
 
 /// The deterministic runtime fusion/inline-cache table: how often each
-/// enabled superinstruction fired on the decoded engine, and the
+/// catalogue superinstruction fired on the decoded engine, and the
 /// closure-call inline-cache accounting, per benchmark.
 fn dispatch_fusion_table(dispatches: &[(String, DispatchMeasurement)]) -> Table {
     let mut header = vec!["benchmark".to_string()];
-    header.extend(
-        FUSION_TABLE
-            .iter()
-            .map(|e| format!("{} fired", e.kind.key().replace('_', "+"))),
-    );
-    header.extend(
-        TRIPLE_TABLE
-            .iter()
-            .map(|e| format!("{} fired", e.kind.key().replace('_', "+"))),
-    );
+    header.extend(FusionKind::ALL.map(|k| format!("{} fired", k.key().replace('_', "+"))));
+    header.extend(TripleKind::ALL.map(|k| format!("{} fired", k.key().replace('_', "+"))));
     header.extend([
         "ic hits".to_string(),
         "ic misses".into(),
@@ -590,8 +565,8 @@ fn dispatch_fusion_table(dispatches: &[(String, DispatchMeasurement)]) -> Table 
     let mut total = DispatchRunStats::default();
     let row = |name: &str, s: &DispatchRunStats| {
         let mut cells = vec![name.to_owned()];
-        cells.extend(FUSION_TABLE.iter().map(|e| s.fused(e.kind).to_string()));
-        cells.extend(TRIPLE_TABLE.iter().map(|e| s.fused3(e.kind).to_string()));
+        cells.extend(FusionKind::ALL.map(|k| s.fused(k).to_string()));
+        cells.extend(TripleKind::ALL.map(|k| s.fused3(k).to_string()));
         cells.extend([
             s.ic_hits.to_string(),
             s.ic_misses.to_string(),
@@ -608,38 +583,6 @@ fn dispatch_fusion_table(dispatches: &[(String, DispatchMeasurement)]) -> Table 
         for (acc, n) in total.fused_exec3.iter_mut().zip(d.dispatch.fused_exec3) {
             *acc += n;
         }
-        t.row(row(name, &d.dispatch));
-    }
-    t.row(row("Total", &total));
-    t
-}
-
-/// The deterministic speculative-dispatch accounting table (one row per
-/// benchmark plus a total row): fast-path hits, closure-guard failures,
-/// and demotions from the decoded engine's warm-up run. The warm-up
-/// runs with speculation on (the engine default), so closure-heavy
-/// benchmarks show nonzero fast hits here while every observable
-/// counter stays byte-identical to the classic engine.
-fn speculation_table(dispatches: &[(String, DispatchMeasurement)]) -> Table {
-    let mut t = Table::new(vec![
-        "benchmark".into(),
-        "spec fast hits".into(),
-        "guard fails".into(),
-        "demotions".into(),
-    ]);
-    let mut total = DispatchRunStats::default();
-    let row = |name: &str, s: &DispatchRunStats| {
-        vec![
-            name.to_owned(),
-            s.spec_fast_hits.to_string(),
-            s.spec_guard_fails.to_string(),
-            s.spec_demotions.to_string(),
-        ]
-    };
-    for (name, d) in dispatches {
-        total.spec_fast_hits += d.dispatch.spec_fast_hits;
-        total.spec_guard_fails += d.dispatch.spec_guard_fails;
-        total.spec_demotions += d.dispatch.spec_demotions;
         t.row(row(name, &d.dispatch));
     }
     t.row(row("Total", &total));
@@ -777,7 +720,6 @@ mod tests {
             DISPATCH_TABLE,
             DISPATCH_FUSION_TABLE,
             DISPATCH_THROUGHPUT_TABLE,
-            SPECULATION_TABLE,
             SHUFFLE_STRATEGIES_TABLE,
         ] {
             let table = tables

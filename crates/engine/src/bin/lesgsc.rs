@@ -30,10 +30,6 @@
 //!                               program's own output moves to stderr)
 //!   --profile-out <file>        write the JSON profile to <file>
 //!   --trace                     log pass boundaries and VM call events
-//!   --no-speculation            disable speculative inline-cache dispatch
-//!                               (observable counters must not change; the
-//!                               CI speculation-differential gate diffs the
-//!                               two modes byte-for-byte)
 //!   --fuel <n>                  VM instruction budget
 //!   --jobs <n>                  worker threads for `check`'s 23-config
 //!                               matrix (default 1; verdicts identical)
@@ -51,7 +47,7 @@ use std::io::Read;
 use std::process::ExitCode;
 
 use lesgs_compiler::{
-    compile_observed, config_matrix, differential_check_parallel_spec, CompilerConfig,
+    compile_observed, config_matrix, differential_check_parallel, CompilerConfig,
 };
 use lesgs_core::config::{Discipline, RestoreStrategy, SaveStrategy, ShuffleStrategy};
 use lesgs_core::AllocConfig;
@@ -92,7 +88,7 @@ fn usage() -> ! {
          \x20        --shuffle greedy|fixed|permi  --callee-save  --regs <0..6>\n\
          \x20        --branch-prediction  --lift  --verify-bytecode  -o <file>\n\
          \x20        --profile[=json]  --profile-out <file>  --trace  --decoded\n\
-         \x20        --no-speculation  --fuel <n>  --jobs <n>  -e <expr>"
+         \x20        --fuel <n>  --jobs <n>  -e <expr>"
     );
     std::process::exit(2);
 }
@@ -130,7 +126,6 @@ fn parse_args() -> Result<Options, String> {
     let mut profile = ProfileMode::Off;
     let mut profile_out: Option<String> = None;
     let mut trace = false;
-    let mut no_speculation = false;
     let mut jobs = 1usize;
     let mut decoded = false;
     let mut input: Option<Input> = None;
@@ -177,7 +172,6 @@ fn parse_args() -> Result<Options, String> {
                 }
             }
             "--trace" => trace = true,
-            "--no-speculation" => no_speculation = true,
             "--decoded" => decoded = true,
             "--regs" => {
                 let n: usize = value("--regs")?
@@ -245,7 +239,6 @@ fn parse_args() -> Result<Options, String> {
             fuel,
             lambda_lift,
             trace,
-            no_speculation,
             ..CompilerConfig::default()
         },
         verify_bytecode,
@@ -461,13 +454,7 @@ fn main() -> ExitCode {
             } else {
                 opts.config.fuel
             };
-            match differential_check_parallel_spec(
-                &source,
-                &config_matrix(),
-                fuel,
-                opts.jobs,
-                opts.config.no_speculation,
-            ) {
+            match differential_check_parallel(&source, &config_matrix(), fuel, opts.jobs) {
                 Ok(()) => {
                     println!(
                         "ok: interpreter and all {} configurations agree",
@@ -500,6 +487,9 @@ fn main() -> ExitCode {
             }
             match cmd {
                 "compile" => {
+                    if let Err(e) = lesgs_engine::check_datum_depth(&compiled.vm) {
+                        return fail(e.to_string());
+                    }
                     let bytes = lesgs_engine::serialize_program(&compiled.vm, &opts.config.alloc);
                     let path = opts.out.as_deref().expect("validated");
                     if let Err(e) = std::fs::write(path, &bytes) {

@@ -25,6 +25,7 @@
 //! semantic validation is the bytecode verifier's job, which
 //! [`crate::Engine::load_program`] re-runs on every load.
 
+use lesgs_compiler::CompileError;
 use lesgs_core::config::{Discipline, RestoreStrategy, SaveStrategy, ShuffleStrategy};
 use lesgs_core::AllocConfig;
 use lesgs_frontend::{Const, FuncId, Prim};
@@ -43,10 +44,12 @@ pub const FORMAT_VERSION: u32 = 1;
 /// Size of the fixed header: magic + version + config fingerprint.
 pub const HEADER_LEN: usize = 16;
 
-/// Maximum nesting depth accepted for quoted data. Real programs nest
-/// a handful of levels; the cap exists so corrupt input cannot drive
-/// the decoder into unbounded recursion.
-const DATUM_MAX_DEPTH: usize = 256;
+/// Maximum nesting depth accepted for quoted data (the outermost datum
+/// is depth 0). Real programs nest a handful of levels; the cap exists
+/// so corrupt input cannot drive the decoder into unbounded recursion.
+/// [`check_datum_depth`] holds compiled programs to the same cap, so
+/// every blob [`serialize_program`] writes for one loads back.
+pub const DATUM_MAX_DEPTH: usize = 256;
 
 /// Why a byte stream was rejected. Every variant names enough context
 /// to act on: the offending offset, the stored vs. computed value, or
@@ -578,6 +581,44 @@ impl Writer {
             Instr::Halt => self.u8(19),
         }
     }
+}
+
+/// Rejects a program with a quoted constant that nests deeper than
+/// [`DATUM_MAX_DEPTH`]: its blob would be refused on load.
+///
+/// # Errors
+///
+/// A [`CompileError`] naming the cap.
+pub fn check_datum_depth(prog: &VmProgram) -> Result<(), CompileError> {
+    // Recursion stops one level past the cap, so the walk is bounded
+    // however deep the datum is.
+    fn too_deep(d: &Datum, depth: usize) -> bool {
+        if depth > DATUM_MAX_DEPTH {
+            return true;
+        }
+        match d {
+            Datum::List(items) | Datum::Vector(items) => {
+                items.iter().any(|x| too_deep(x, depth + 1))
+            }
+            Datum::Improper(items, tail) => {
+                items.iter().any(|x| too_deep(x, depth + 1)) || too_deep(tail, depth + 1)
+            }
+            _ => false,
+        }
+    }
+    let deep = prog.constants.iter().any(|c| match c {
+        Const::Datum(d) => too_deep(d, 0),
+        _ => false,
+    });
+    if deep {
+        return Err(CompileError {
+            message: format!(
+                "quoted datum nests deeper than {DATUM_MAX_DEPTH} levels, \
+                 the limit of the serialized bytecode format"
+            ),
+        });
+    }
+    Ok(())
 }
 
 /// Serializes a linked program and the allocator configuration that

@@ -32,8 +32,8 @@
 pub mod bytecode;
 
 pub use bytecode::{
-    config_fingerprint, deserialize_program, fnv1a64, serialize_program, BytecodeLoadError,
-    FORMAT_VERSION, MAGIC,
+    check_datum_depth, config_fingerprint, deserialize_program, fnv1a64, serialize_program,
+    BytecodeLoadError, DATUM_MAX_DEPTH, FORMAT_VERSION, MAGIC,
 };
 pub use lesgs_compiler::{CompileError, CompilerConfig};
 pub use lesgs_core::AllocConfig;
@@ -166,9 +166,13 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// [`EngineError::Compile`] on reader or frontend failure.
+    /// [`EngineError::Compile`] on reader or frontend failure, or when
+    /// a quoted constant nests deeper than the `.lbc` loader accepts
+    /// ([`DATUM_MAX_DEPTH`]) — every compiled program serializes to a
+    /// blob that loads back.
     pub fn compile(&self, source: &str) -> Result<CompiledProgram, EngineError> {
         let compiled = lesgs_compiler::compile(source, &self.config)?;
+        check_datum_depth(&compiled.vm)?;
         Ok(CompiledProgram {
             vm: compiled.vm,
             decoded: compiled.decoded,
@@ -185,8 +189,7 @@ impl Engine {
     pub fn execute(&self, program: &CompiledProgram) -> Result<VmOutcome, EngineError> {
         let mut m = Machine::from_decoded(&program.decoded, self.config.cost)
             .with_poison(self.config.poison)
-            .with_trace(self.config.trace)
-            .with_speculation(!self.config.no_speculation);
+            .with_trace(self.config.trace);
         if self.config.fuel > 0 {
             m = m.with_fuel(self.config.fuel);
         }

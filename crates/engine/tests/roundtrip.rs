@@ -91,3 +91,31 @@ fn fuzz_programs_round_trip_500_cases() {
         assert_round_trips(engine, &src, &format!("fuzz case {case}"));
     }
 }
+
+/// `(quote ((…(1)…)))` with `lists` nested lists: the innermost `1`
+/// sits at datum depth `lists`.
+fn nested_quote(lists: usize) -> String {
+    format!(
+        "(define x (quote {}1{})) (car x)",
+        "(".repeat(lists),
+        ")".repeat(lists)
+    )
+}
+
+/// Every program `Engine::compile` accepts serializes to a blob the
+/// loader accepts: the deepest quoted datum the loader takes compiles
+/// and round-trips, and one level deeper is a compile error rather
+/// than a blob that fails to load.
+#[test]
+fn quoted_datum_depth_cap_is_a_compile_error() {
+    use lesgs_engine::{EngineError, DATUM_MAX_DEPTH};
+    let engine = Engine::new();
+    assert_round_trips(&engine, &nested_quote(DATUM_MAX_DEPTH), "deepest datum");
+    match engine.compile(&nested_quote(DATUM_MAX_DEPTH + 1)) {
+        Err(EngineError::Compile(e)) => {
+            assert!(e.message.contains("nests deeper"), "{e}");
+        }
+        Err(e) => panic!("expected a compile error, got {e}"),
+        Ok(_) => panic!("a datum the loader rejects compiled"),
+    }
+}

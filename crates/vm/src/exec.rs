@@ -28,7 +28,6 @@ use lesgs_metrics::{ratio, Registry};
 
 use crate::cost::CostModel;
 use crate::decode::{DecodedOp, DecodedProgram, FusionKind, PrimArgs, TripleKind};
-use crate::fusion_table::{FUSION_TABLE, TRIPLE_TABLE};
 use crate::instr::{Imm, SlotClass};
 use crate::prim::{eval_prim, ArgVals};
 use crate::program::VmProgram;
@@ -79,55 +78,19 @@ impl fmt::Display for VmError {
 
 impl std::error::Error for VmError {}
 
-/// Guard failures after which a speculative call site is demoted to
-/// polymorphic: plain dispatch, no further guessing. Demotion is
-/// absorbing — a demoted site never re-enters the fast path, so a
-/// megamorphic site costs at most this many failed guards per run.
-pub const SPEC_DEMOTE_AFTER: u32 = 4;
-
-/// Per-site speculative inline-cache state (one per through-`cp` call
-/// site, indexed by the op's `ic` field; per-run — a fresh run starts
-/// cold). The monomorphic → guard-fail → re-cache → demoted state
-/// machine lives here; transition counts land in
-/// [`DispatchRunStats`]'s `spec_*` fields.
-#[derive(Clone, Copy, Default)]
-struct IcSite {
-    /// Last callee observed at this site (the speculative guess).
-    callee: Option<FuncId>,
-    /// Cached decoded base pc of `callee` — what the fast path jumps
-    /// to without re-resolving through the function table.
-    base: u32,
-    /// Cumulative guard failures at this site.
-    fails: u32,
-    /// Site has been demoted to polymorphic (absorbing).
-    demoted: bool,
-}
-
 /// Run-time statistics of the *dispatch tier itself*: inline-cache
-/// hits/misses at through-`cp` call sites, speculative-dispatch state
-/// transitions, and per-template fused pair/triple executions. These
-/// are engine-internal — the classic engine has no caches and no fused
-/// ops, so they are deliberately **excluded from the
-/// classic-vs-decoded parity contract** (see [`VmOutcome`]'s
-/// `PartialEq`); the observable `vm.*` stream lives in [`RunStats`].
+/// hits/misses at through-`cp` call sites and per-template fused
+/// pair/triple executions. These are engine-internal — the classic
+/// engine has no caches and no fused ops, so they are deliberately
+/// **excluded from the classic-vs-decoded parity contract** (see
+/// [`VmOutcome`]'s `PartialEq`); the observable `vm.*` stream lives in
+/// [`RunStats`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DispatchRunStats {
     /// Closure-call sites whose cached callee matched.
     pub ic_hits: u64,
     /// Closure-call sites that missed (cold or megamorphic).
     pub ic_misses: u64,
-    /// Monomorphic sites dispatched through the speculative fast path:
-    /// the closure-identity guard matched the cached callee and the
-    /// dispatch jumped straight to its cached decoded base, skipping
-    /// target re-resolution.
-    pub spec_fast_hits: u64,
-    /// Speculative guard failures: the site had a cached guess and the
-    /// incoming closure did not match it (a cold first call is a plain
-    /// miss, not a guard failure).
-    pub spec_guard_fails: u64,
-    /// Sites demoted to polymorphic (plain dispatch, no further
-    /// guessing) after [`SPEC_DEMOTE_AFTER`] guard failures.
-    pub spec_demotions: u64,
     /// Fused-pair executions by template, indexed by [`FusionKind`]
     /// discriminant.
     pub fused_exec: [u64; FusionKind::COUNT],
@@ -156,28 +119,24 @@ impl DispatchRunStats {
         )
     }
 
-    /// Exports the counters under `vm.dispatch.ic.*`,
-    /// `vm.dispatch.spec.*`, and `vm.dispatch.fused_exec.*`. Like the
-    /// static decode counters, every generated-table entry is emitted,
-    /// zero included, so the key set is a fixed function of the
-    /// committed fusion tables.
+    /// Exports the counters under `vm.dispatch.ic.*` and
+    /// `vm.dispatch.fused_exec.*`. Like the static decode counters,
+    /// every catalogue template is emitted, zero included, so the key
+    /// set is a fixed function of the catalogue.
     pub fn record(&self, reg: &mut Registry) {
         reg.inc("vm.dispatch.ic.hits", self.ic_hits);
         reg.inc("vm.dispatch.ic.misses", self.ic_misses);
         reg.set_gauge("vm.dispatch.ic.hit_rate", self.ic_hit_rate());
-        reg.inc("vm.dispatch.spec.fast_hits", self.spec_fast_hits);
-        reg.inc("vm.dispatch.spec.guard_fails", self.spec_guard_fails);
-        reg.inc("vm.dispatch.spec.demotions", self.spec_demotions);
-        for entry in FUSION_TABLE {
+        for kind in FusionKind::ALL {
             reg.inc(
-                &format!("vm.dispatch.fused_exec.{}", entry.kind.key()),
-                self.fused(entry.kind),
+                &format!("vm.dispatch.fused_exec.{}", kind.key()),
+                self.fused(kind),
             );
         }
-        for entry in TRIPLE_TABLE {
+        for kind in TripleKind::ALL {
             reg.inc(
-                &format!("vm.dispatch.fused_exec.{}", entry.kind.key()),
-                self.fused3(entry.kind),
+                &format!("vm.dispatch.fused_exec.{}", kind.key()),
+                self.fused3(kind),
             );
         }
     }
@@ -246,13 +205,10 @@ pub struct Machine<'a> {
     output: String,
     stats: RunStats,
     dispatch: DispatchRunStats,
-    /// Monomorphic inline caches, one slot per through-`cp` call site
-    /// (indexed by the op's `ic` field). Carries the speculative state
-    /// machine when `speculate` is on; purely observational otherwise.
-    ic_sites: Vec<IcSite>,
-    /// Speculative IC dispatch: act on monomorphic caches (guarded
-    /// fast path to the cached callee) instead of only measuring them.
-    speculate: bool,
+    /// Monomorphic inline caches: the last callee seen at each
+    /// through-`cp` call site (indexed by the op's `ic` field; per run,
+    /// so a fresh run starts cold). Purely observational.
+    ic_sites: Vec<Option<FuncId>>,
     shadow: Vec<Activation>,
     // Flat per-class tallies for the hot loop; folded into the
     // `RunStats` hash maps once, at exit. The decoded engine observes
@@ -309,8 +265,7 @@ impl<'a> Machine<'a> {
             output: String::new(),
             stats: RunStats::default(),
             dispatch: DispatchRunStats::default(),
-            ic_sites: vec![IcSite::default(); n_ic_sites],
-            speculate: true,
+            ic_sites: vec![None; n_ic_sites],
             shadow: Vec::new(),
             stack_loads_by_class: [0; SlotClass::ALL.len()],
             stack_stores_by_class: [0; SlotClass::ALL.len()],
@@ -338,18 +293,6 @@ impl<'a> Machine<'a> {
     #[must_use]
     pub fn with_trace(mut self, trace: bool) -> Machine<'a> {
         self.trace = trace;
-        self
-    }
-
-    /// Toggles speculative IC dispatch (on by default). Off reverts
-    /// through-`cp` call sites to PR-era purely observational caches:
-    /// same `vm.dispatch.ic.*` stream, all `vm.dispatch.spec.*`
-    /// counters zero. The observable [`RunStats`] stream is identical
-    /// either way — speculation only skips the dispatch tier's own
-    /// target re-resolution, never a simulated event.
-    #[must_use]
-    pub fn with_speculation(mut self, speculate: bool) -> Machine<'a> {
-        self.speculate = speculate;
         self
     }
 
@@ -502,91 +445,19 @@ impl<'a> Machine<'a> {
     }
 
     /// Consults and updates the monomorphic inline cache of a
-    /// through-`cp` call site (the observational tier). The simulated
-    /// machine still resolves the callee through `cp`, so the cache
-    /// changes no observable behaviour — it measures per-site callee
-    /// stability, i.e. exactly the hit rate a native inline cache
-    /// would achieve.
+    /// through-`cp` call site. The simulated machine still resolves the
+    /// callee through `cp`, so the cache changes no observable
+    /// behaviour — it measures per-site callee stability, i.e. exactly
+    /// the hit rate a native inline cache would achieve.
     #[inline]
-    fn ic_probe(&mut self, prog: &DecodedProgram, ic: u32, callee: FuncId) {
+    fn ic_probe(&mut self, ic: u32, callee: FuncId) {
         let site = &mut self.ic_sites[ic as usize];
-        match site.callee {
-            Some(f) if f == callee => self.dispatch.ic_hits += 1,
-            _ => {
-                self.dispatch.ic_misses += 1;
-                site.callee = Some(callee);
-                site.base = Machine::base(prog, callee);
-            }
+        if *site == Some(callee) {
+            self.dispatch.ic_hits += 1;
+        } else {
+            self.dispatch.ic_misses += 1;
+            *site = Some(callee);
         }
-    }
-
-    /// Resolves a through-`cp` call site to `(callee, decoded base pc)`
-    /// with full inline-cache accounting — the speculative tier.
-    ///
-    /// With speculation on and the site not demoted, a monomorphic hit
-    /// takes the fast path: a closure-identity guard against the cached
-    /// callee (after the same `cp` stall the slow path pays), and on a
-    /// match the dispatch jumps straight to the cached decoded base,
-    /// skipping [`Machine::closure_callee`]'s re-resolution and the
-    /// function-table lookup. A guard failure falls back to the slow
-    /// path, re-caches, and after [`SPEC_DEMOTE_AFTER`] failures
-    /// demotes the site to polymorphic for the rest of the run.
-    ///
-    /// The `vm.dispatch.ic.{hits,misses}` stream is byte-identical in
-    /// every mode — fast-path guard hit ≡ observational hit, guard
-    /// failure ≡ re-caching miss, cold first call ≡ cold miss — so
-    /// toggling speculation moves work, never measurement.
-    #[inline]
-    fn closure_call_target(
-        &mut self,
-        prog: &DecodedProgram,
-        pc: u32,
-        ic: u32,
-    ) -> Result<(FuncId, u32)> {
-        if self.speculate {
-            let site = self.ic_sites[ic as usize];
-            if let (Some(expected), false) = (site.callee, site.demoted) {
-                // The guard: stall on `cp` exactly as the slow path
-                // would, then compare closure identity in place.
-                self.stall_on(CP);
-                if matches!(&self.regs[CP.index()], Value::Closure(c) if c.func == expected) {
-                    self.dispatch.ic_hits += 1;
-                    self.dispatch.spec_fast_hits += 1;
-                    return Ok((expected, site.base));
-                }
-                // Guard failure: slow path (which owns the
-                // non-procedure error), re-cache, maybe demote.
-                let callee = self.closure_callee(prog, pc)?;
-                self.dispatch.ic_misses += 1;
-                self.dispatch.spec_guard_fails += 1;
-                let base = Machine::base(prog, callee);
-                let site = &mut self.ic_sites[ic as usize];
-                site.callee = Some(callee);
-                site.base = base;
-                site.fails += 1;
-                if site.fails >= SPEC_DEMOTE_AFTER {
-                    site.demoted = true;
-                    self.dispatch.spec_demotions += 1;
-                }
-                return Ok((callee, base));
-            }
-            if !site.demoted {
-                // Cold site: install the first guess. A plain miss —
-                // there was no guess to fail.
-                let callee = self.closure_callee(prog, pc)?;
-                self.dispatch.ic_misses += 1;
-                let base = Machine::base(prog, callee);
-                let site = &mut self.ic_sites[ic as usize];
-                site.callee = Some(callee);
-                site.base = base;
-                return Ok((callee, base));
-            }
-        }
-        // Demoted or speculation off: plain dispatch, observational
-        // probe only.
-        let callee = self.closure_callee(prog, pc)?;
-        self.ic_probe(prog, ic, callee);
-        Ok((callee, Machine::base(prog, callee)))
     }
 
     fn poison(&mut self, prog: &DecodedProgram, func: FuncId) {
@@ -751,22 +622,6 @@ impl<'a> Machine<'a> {
 
     #[inline]
     fn do_call(&mut self, prog: &DecodedProgram, pc: &mut u32, callee: FuncId, frame_advance: u32) {
-        let base = Machine::base(prog, callee);
-        self.do_call_at(prog, pc, callee, base, frame_advance);
-    }
-
-    /// [`Machine::do_call`] with the callee's decoded base already in
-    /// hand — the speculative fast path supplies its cached base here
-    /// instead of re-resolving through the function table.
-    #[inline]
-    fn do_call_at(
-        &mut self,
-        prog: &DecodedProgram,
-        pc: &mut u32,
-        callee: FuncId,
-        base: u32,
-        frame_advance: u32,
-    ) {
         // Return addresses stay function-relative so the value is
         // engine-independent (differential tests compare rendered
         // values, and save slots hold these).
@@ -778,21 +633,13 @@ impl<'a> Machine<'a> {
         self.write(RET, Value::RetAddr(ra));
         self.fp += frame_advance;
         self.func = callee;
-        *pc = base;
+        *pc = Machine::base(prog, callee);
         self.enter_activation(prog, callee);
         self.poison(prog, callee);
     }
 
     #[inline]
     fn do_tail_call(&mut self, prog: &DecodedProgram, pc: &mut u32, callee: FuncId) {
-        let base = Machine::base(prog, callee);
-        self.do_tail_call_at(prog, pc, callee, base);
-    }
-
-    /// [`Machine::do_tail_call`] with the callee's decoded base
-    /// already in hand (the speculative fast path).
-    #[inline]
-    fn do_tail_call_at(&mut self, prog: &DecodedProgram, pc: &mut u32, callee: FuncId, base: u32) {
         self.stats.tail_calls += 1;
         if self.trace {
             eprintln!(
@@ -802,7 +649,7 @@ impl<'a> Machine<'a> {
             );
         }
         self.func = callee;
-        *pc = base;
+        *pc = Machine::base(prog, callee);
         // A tail call is a jump: same activation, same fp.
     }
 
@@ -840,13 +687,12 @@ impl<'a> Machine<'a> {
         }
     }
 
-    /// Runs the program while counting executions of every decoded
+    /// Runs the program while counting dispatches of every decoded
     /// slot. Returns the outcome plus one counter per op-array slot
-    /// (`profile[pc]` = times the op at `pc` was dispatched). This is
-    /// the `lesgs-fusegen` miner's data source: profiling an *unfused*
-    /// decoding gives exact dynamic adjacent-pair frequencies, because
-    /// executing a fallthrough op at `pc` implies the op at `pc + 1`
-    /// dispatches next. The profiled loop is a separate `const`
+    /// (`profile[pc]` = times the op at `pc` was dispatched). A fused
+    /// op counts once, at its head: the slots it covers are only
+    /// dispatched when a jump lands on them. This is the base for
+    /// per-site profiles. The profiled loop is a separate `const`
     /// monomorphization, so [`Machine::run`] pays nothing for it.
     ///
     /// # Errors
@@ -933,13 +779,15 @@ impl<'a> Machine<'a> {
                     frame_advance,
                 } => self.do_call(prog, &mut pc, callee, frame_advance),
                 DecodedOp::CallClosure { frame_advance, ic } => {
-                    let (callee, base) = self.closure_call_target(prog, pc, ic)?;
-                    self.do_call_at(prog, &mut pc, callee, base, frame_advance);
+                    let callee = self.closure_callee(prog, pc)?;
+                    self.ic_probe(ic, callee);
+                    self.do_call(prog, &mut pc, callee, frame_advance);
                 }
                 DecodedOp::TailCallStatic { callee } => self.do_tail_call(prog, &mut pc, callee),
                 DecodedOp::TailCallClosure { ic } => {
-                    let (callee, base) = self.closure_call_target(prog, pc, ic)?;
-                    self.do_tail_call_at(prog, &mut pc, callee, base);
+                    let callee = self.closure_callee(prog, pc)?;
+                    self.ic_probe(ic, callee);
+                    self.do_tail_call(prog, &mut pc, callee);
                 }
                 DecodedOp::Return => match self.read(RET) {
                     Value::RetAddr(ra) => {
@@ -1078,29 +926,6 @@ impl<'a> Machine<'a> {
                     let v = self.read(src2);
                     self.write(dst2, v);
                 }
-                DecodedOp::ImmImm {
-                    dst1,
-                    imm1,
-                    dst2,
-                    imm2,
-                } => {
-                    self.dispatch.fused_exec[FusionKind::ImmImm as usize] += 1;
-                    self.write(dst1, Machine::imm_value(imm1));
-                    self.fetch_second_half(prog, &mut pc)?;
-                    self.write(dst2, Machine::imm_value(imm2));
-                }
-                DecodedOp::ImmMov {
-                    dst1,
-                    imm1,
-                    dst2,
-                    src2,
-                } => {
-                    self.dispatch.fused_exec[FusionKind::ImmMov as usize] += 1;
-                    self.write(dst1, Machine::imm_value(imm1));
-                    self.fetch_second_half(prog, &mut pc)?;
-                    let v = self.read(src2);
-                    self.write(dst2, v);
-                }
                 DecodedOp::MovImm {
                     dst1,
                     src1,
@@ -1172,46 +997,6 @@ impl<'a> Machine<'a> {
                     let v = self.read(src3);
                     self.write(dst3, v);
                 }
-                DecodedOp::StoreMovPrim {
-                    slot1,
-                    src1,
-                    class1,
-                    dst2,
-                    src2,
-                    op,
-                    dst3,
-                    args,
-                } => {
-                    self.dispatch.fused_exec3[TripleKind::StoreMovPrim as usize] += 1;
-                    self.stats.cycles += self.cost.mem_cost - self.cost.instr_cost;
-                    self.stack_stores_by_class[class1 as usize] += 1;
-                    let v = self.read(src1);
-                    self.stack_store(slot1, v);
-                    self.fetch_second_half(prog, &mut pc)?;
-                    let v = self.read(src2);
-                    self.write(dst2, v);
-                    self.fetch_second_half(prog, &mut pc)?;
-                    self.exec_prim(prog, pc, op, dst3, &args)?;
-                }
-                DecodedOp::MovCmpBranch {
-                    dst1,
-                    src1,
-                    op,
-                    dst2,
-                    args,
-                    src3,
-                    target,
-                    likely,
-                    on_true,
-                } => {
-                    self.dispatch.fused_exec3[TripleKind::MovCmpBranch as usize] += 1;
-                    let v = self.read(src1);
-                    self.write(dst1, v);
-                    self.fetch_second_half(prog, &mut pc)?;
-                    self.exec_prim(prog, pc, op, dst2, &args)?;
-                    self.fetch_second_half(prog, &mut pc)?;
-                    self.exec_branch(&mut pc, src3, target, likely, on_true);
-                }
                 DecodedOp::MovImmPrim {
                     dst1,
                     src1,
@@ -1282,50 +1067,6 @@ impl<'a> Machine<'a> {
                     self.stack_stores_by_class[class3 as usize] += 1;
                     let v = self.read(src3);
                     self.stack_store(slot3, v);
-                }
-                DecodedOp::LoadLoadStore {
-                    dst1,
-                    slot1,
-                    class1,
-                    dst2,
-                    slot2,
-                    class2,
-                    slot3,
-                    src3,
-                    class3,
-                } => {
-                    self.dispatch.fused_exec3[TripleKind::LoadLoadStore as usize] += 1;
-                    self.stats.cycles += self.cost.mem_cost - self.cost.instr_cost;
-                    self.stack_loads_by_class[class1 as usize] += 1;
-                    let v = self.stack_load(prog, pc, slot1)?;
-                    self.write_loaded(dst1, v);
-                    self.fetch_second_half(prog, &mut pc)?;
-                    self.stats.cycles += self.cost.mem_cost - self.cost.instr_cost;
-                    self.stack_loads_by_class[class2 as usize] += 1;
-                    let v = self.stack_load(prog, pc, slot2)?;
-                    self.write_loaded(dst2, v);
-                    self.fetch_second_half(prog, &mut pc)?;
-                    self.stats.cycles += self.cost.mem_cost - self.cost.instr_cost;
-                    self.stack_stores_by_class[class3 as usize] += 1;
-                    let v = self.read(src3);
-                    self.stack_store(slot3, v);
-                }
-                DecodedOp::ImmPrimMov {
-                    dst1,
-                    imm1,
-                    op,
-                    dst2,
-                    args,
-                    dst3,
-                    src3,
-                } => {
-                    self.dispatch.fused_exec3[TripleKind::ImmPrimMov as usize] += 1;
-                    self.write(dst1, Machine::imm_value(imm1));
-                    self.fetch_second_half(prog, &mut pc)?;
-                    self.exec_prim(prog, pc, op, dst2, &args)?;
-                    self.fetch_second_half(prog, &mut pc)?;
-                    let v = self.read(src3);
-                    self.write(dst3, v);
                 }
                 DecodedOp::FuncEnd => {
                     // The classic engine reports the (unincremented)
@@ -1651,10 +1392,10 @@ mod tests {
         assert_eq!(mk(Some(false)).mispredicts, 1);
     }
 
-    /// A program whose hot loop contains every fusible pair: a
-    /// predicate+branch, back-to-back immediates, and back-to-back
-    /// moves, with a branch landing *on the second half* of the MovMov
-    /// pair to exercise the fallback slot.
+    /// A program whose hot loop contains a predicate+branch pair, with
+    /// a move+immediate pair at the entry and back-to-back moves at the
+    /// exit, one of them entered *mid-pair* to exercise the fallback
+    /// slot.
     fn fusion_program() -> VmProgram {
         let a0 = arg_reg(0);
         let a1 = arg_reg(1);
@@ -1663,17 +1404,19 @@ mod tests {
             id: FuncId(0),
             name: "entry".into(),
             code: vec![
-                // 0/1: ImmImm pair — counter = 3, acc = 0.
+                // 0/1: MovImm pair — s0 is scratch, counter = 3.
+                Instr::Mov { dst: s0, src: a0 },
                 Instr::LoadImm {
                     dst: a0,
                     imm: Imm::Fixnum(3),
                 },
+                // 2: acc = 0
                 Instr::LoadImm {
                     dst: a1,
                     imm: Imm::Fixnum(0),
                 },
-                // 2/3: CmpBranch pair — loop exit test (the exit
-                // target, 7, is itself a fused head).
+                // 3/4: CmpBranch pair — loop exit test (the exit
+                // target, 8, is itself a fused head).
                 Instr::Prim {
                     op: Prim::IsZero,
                     dst: s0,
@@ -1681,29 +1424,29 @@ mod tests {
                 },
                 Instr::BranchTrue {
                     src: s0,
-                    target: 7,
+                    target: 8,
                     likely: Some(true),
                 },
-                // 4: acc += counter
+                // 5: acc += counter
                 Instr::Prim {
                     op: Prim::Add,
                     dst: a1,
                     args: vec![a1, a0],
                 },
-                // 5: counter -= 1
+                // 6: counter -= 1
                 Instr::Prim {
                     op: Prim::Sub1,
                     dst: a0,
                     args: vec![a0],
                 },
-                // 6: back to the test — lands on slot 2 (fused head).
-                Instr::Jump { target: 2 },
-                // 7/8: MovMov pair, executed in full: rv <- s0 <- acc.
+                // 7: back to the test — lands on slot 3 (fused head).
+                Instr::Jump { target: 3 },
+                // 8/9: MovMov pair, executed in full: rv <- s0 <- acc.
                 Instr::Mov { dst: s0, src: a1 },
                 Instr::Mov { dst: RV, src: s0 },
-                // 9: skip the head of the next pair.
-                Instr::Jump { target: 11 },
-                // 10/11: MovMov pair entered *mid-pair* via the jump —
+                // 10: skip the head of the next pair.
+                Instr::Jump { target: 12 },
+                // 11/12: MovMov pair entered *mid-pair* via the jump —
                 // only `s0 <- rv` runs; the head never executes.
                 Instr::Mov { dst: RV, src: a0 },
                 Instr::Mov { dst: s0, src: RV },
@@ -1725,17 +1468,7 @@ mod tests {
     #[test]
     fn fused_pairs_execute_and_land_mid_pair() {
         let p = fusion_program();
-        // Decode with the full catalogue enabled (not the generated
-        // table): this test pins the decode/handler mechanics of each
-        // template, independent of which templates measurement enabled.
-        let full: Vec<crate::decode::FusionEntry> = FusionKind::ALL
-            .iter()
-            .map(|&kind| crate::decode::FusionEntry {
-                kind,
-                dynamic_count: 1,
-            })
-            .collect();
-        let decoded = DecodedProgram::decode_with_table(&p, &full, &[]);
+        let decoded = DecodedProgram::decode(&p);
         let stats = decoded.stats();
         assert_eq!(
             stats.fused(FusionKind::CmpBranch),
@@ -1743,9 +1476,10 @@ mod tests {
             "{}",
             decoded.disassemble()
         );
-        assert_eq!(stats.fused(FusionKind::ImmImm), 1);
+        assert_eq!(stats.fused(FusionKind::MovImm), 1);
         assert_eq!(stats.fused(FusionKind::MovMov), 2);
         assert_eq!(stats.fused_pairs, 4);
+        assert_eq!(stats.fused_triples, 0);
         // Slot preservation: decoded slot count = source + sentinel.
         assert_eq!(stats.decoded_ops, stats.source_instructions + 1);
         let out = Machine::from_decoded(&decoded, CostModel::alpha_like())
@@ -1761,6 +1495,10 @@ mod tests {
         assert_eq!(out.value, classic.value);
         assert_eq!(out.stats, classic.stats);
         assert_eq!(out.output, classic.output);
+        // The loop test ran four times; only one of the two MovMov
+        // pairs was entered at its head.
+        assert_eq!(out.dispatch.fused(FusionKind::CmpBranch), 4);
+        assert_eq!(out.dispatch.fused(FusionKind::MovMov), 1);
     }
 
     /// A program exercising `swap` and `permi`: loads 10/20/30/40 into
@@ -1861,7 +1599,7 @@ mod tests {
 
     #[test]
     fn fuel_error_between_fused_halves_matches_classic() {
-        // Budget runs out exactly between the two halves of the ImmImm
+        // Budget runs out exactly between the two halves of the MovImm
         // pair at slots 0/1: both engines must report pc 1.
         let p = fusion_program();
         let d = Machine::new(&p, CostModel::unit())
@@ -1910,8 +1648,8 @@ mod tests {
     /// Hand-assembled closure-call harness: one closure-call site (in
     /// `callit`) executed once per `pattern` element, with the closure
     /// in `cp` selecting `leaf0` (0) or `leaf1` (1). The per-call
-    /// callee sequence is exactly `pattern`, so IC/speculation state
-    /// transitions are fully scripted.
+    /// callee sequence is exactly `pattern`, so inline-cache hits and
+    /// misses are fully scripted.
     fn poly_call_program(pattern: &[usize]) -> VmProgram {
         let s0 = scratch_reg(0);
         let s1 = scratch_reg(1);
@@ -2016,109 +1754,31 @@ mod tests {
         assert_eq!(d.dispatch.ic_hits, 1);
         assert_eq!(d.dispatch.ic_misses, 2);
         assert!((d.dispatch.ic_hit_rate() - 1.0 / 3.0).abs() < 1e-12);
-        // With speculation on (the default) the hit was a guarded fast
-        // hit and the transition was a guard failure — but the ic.*
-        // stream above is byte-identical to the observational mode.
-        assert_eq!(d.dispatch.spec_fast_hits, 1);
-        assert_eq!(d.dispatch.spec_guard_fails, 1);
-        assert_eq!(d.dispatch.spec_demotions, 0);
     }
 
-    /// Satellite: speculation off must reproduce the exact same ic.*
-    /// stream and `RunStats` with every `spec.*` counter at zero.
+    /// Every callee change re-caches the site: a miss, after which the
+    /// new callee hits. Alternation misses on every call, and a site
+    /// that settles after a polymorphic phase hits again.
     #[test]
-    fn speculation_off_matches_observational_counters() {
-        let p = closure_call_program();
-        let on = Machine::new(&p, CostModel::alpha_like()).run().unwrap();
-        let off = Machine::new(&p, CostModel::alpha_like())
-            .with_speculation(false)
-            .run()
-            .unwrap();
-        let c = ClassicMachine::new(&p, CostModel::alpha_like())
-            .run()
-            .unwrap();
-        assert_eq!(off.value, c.value);
-        assert_eq!(off.stats, c.stats);
-        assert_eq!(off.stats, on.stats);
-        assert_eq!(off.dispatch.ic_hits, on.dispatch.ic_hits);
-        assert_eq!(off.dispatch.ic_misses, on.dispatch.ic_misses);
-        assert_eq!(off.dispatch.spec_fast_hits, 0);
-        assert_eq!(off.dispatch.spec_guard_fails, 0);
-        assert_eq!(off.dispatch.spec_demotions, 0);
-    }
-
-    /// Satellite: monomorphic → guard-fail → re-cache. After the guard
-    /// fails once the site re-caches the new callee, so an immediate
-    /// repeat of that callee is a fast hit again.
-    #[test]
-    fn guard_fail_recaches_and_fast_path_resumes() {
-        // A, A (fast hit), B (guard fail -> re-cache B), B (fast hit).
-        let p = poly_call_program(&[0, 0, 1, 1]);
-        let d = Machine::new(&p, CostModel::alpha_like()).run().unwrap();
-        let c = ClassicMachine::new(&p, CostModel::alpha_like())
-            .run()
-            .unwrap();
-        assert_eq!(d.value, c.value);
-        assert_eq!(d.stats, c.stats);
-        assert_eq!(d.dispatch.ic_hits, 2);
-        assert_eq!(d.dispatch.ic_misses, 2);
-        assert_eq!(d.dispatch.spec_fast_hits, 2);
-        assert_eq!(d.dispatch.spec_guard_fails, 1);
-        assert_eq!(d.dispatch.spec_demotions, 0);
-    }
-
-    /// Satellite: `SPEC_DEMOTE_AFTER` cumulative guard failures demote
-    /// the site to polymorphic (plain observational dispatch).
-    #[test]
-    fn k_guard_failures_demote_site() {
-        // Alternating callees: cold miss, then every call flips the
-        // cached identity. Guard failures 1..=4 land on calls 2..=5;
-        // the fourth failure (call 5) demotes the site.
-        let p = poly_call_program(&[0, 1, 0, 1, 0]);
-        let d = Machine::new(&p, CostModel::alpha_like()).run().unwrap();
-        let c = ClassicMachine::new(&p, CostModel::alpha_like())
-            .run()
-            .unwrap();
-        assert_eq!(d.value, c.value);
-        assert_eq!(d.stats, c.stats);
-        assert_eq!(d.dispatch.spec_fast_hits, 0);
-        assert_eq!(d.dispatch.spec_guard_fails, u64::from(SPEC_DEMOTE_AFTER));
-        assert_eq!(d.dispatch.spec_demotions, 1);
-        // The ic.* stream is what the observational mode would report
-        // for the same alternation: one cold miss + four transitions.
-        assert_eq!(d.dispatch.ic_hits, 0);
-        assert_eq!(d.dispatch.ic_misses, 5);
-    }
-
-    /// Satellite: a megamorphic site never re-enters the fast path.
-    /// After demotion, even a long monomorphic tail only grows the
-    /// observational hit count — `spec_fast_hits` stays frozen.
-    #[test]
-    fn megamorphic_site_never_reenters_fast_path() {
-        // 5 alternating calls demote the site, then 4 calls of the
-        // same callee would all be fast hits if the site re-armed.
-        let p = poly_call_program(&[0, 1, 0, 1, 0, 0, 0, 0, 0]);
-        let d = Machine::new(&p, CostModel::alpha_like()).run().unwrap();
-        let c = ClassicMachine::new(&p, CostModel::alpha_like())
-            .run()
-            .unwrap();
-        assert_eq!(d.value, c.value);
-        assert_eq!(d.stats, c.stats);
-        assert_eq!(d.dispatch.spec_fast_hits, 0, "demoted site speculated");
-        assert_eq!(d.dispatch.spec_guard_fails, u64::from(SPEC_DEMOTE_AFTER));
-        assert_eq!(d.dispatch.spec_demotions, 1);
-        // Demoted dispatch still maintains the observational cache:
-        // the monomorphic tail is 4 plain hits.
-        assert_eq!(d.dispatch.ic_hits, 4);
-        assert_eq!(d.dispatch.ic_misses, 5);
-        // And the ic.* stream is identical with speculation disabled.
-        let off = Machine::new(&p, CostModel::alpha_like())
-            .with_speculation(false)
-            .run()
-            .unwrap();
-        assert_eq!(off.dispatch.ic_hits, d.dispatch.ic_hits);
-        assert_eq!(off.dispatch.ic_misses, d.dispatch.ic_misses);
-        assert_eq!(off.stats, d.stats);
+    fn inline_cache_recaches_on_every_callee_change() {
+        for (pattern, hits, misses) in [
+            (&[0, 0, 1, 1][..], 2, 2),
+            (&[0, 1, 0, 1, 0][..], 0, 5),
+            (&[0, 1, 0, 1, 0, 0, 0, 0, 0][..], 4, 5),
+        ] {
+            let p = poly_call_program(pattern);
+            let d = Machine::new(&p, CostModel::alpha_like()).run().unwrap();
+            let c = ClassicMachine::new(&p, CostModel::alpha_like())
+                .run()
+                .unwrap();
+            assert_eq!(d.value, c.value);
+            assert_eq!(d.stats, c.stats);
+            assert_eq!(
+                (d.dispatch.ic_hits, d.dispatch.ic_misses),
+                (hits, misses),
+                "{pattern:?}"
+            );
+        }
     }
 
     #[test]
@@ -2136,7 +1796,6 @@ mod tests {
     /// counters, no matter what the workload touched.
     #[test]
     fn dispatch_metric_key_sets_are_stable() {
-        use crate::fusion_table::{FUSION_TABLE, TRIPLE_TABLE};
         use lesgs_metrics::Registry;
 
         // A program with no fusible pairs and no closure calls at all.
@@ -2152,8 +1811,8 @@ mod tests {
             .counters()
             .map(|(name, v)| (name.to_string(), v))
             .collect();
-        for entry in FUSION_TABLE {
-            let key = entry.kind.key();
+        for kind in FusionKind::ALL {
+            let key = kind.key();
             assert!(
                 counters.contains_key(&format!("vm.dispatch.fused.{key}")),
                 "missing static fused counter for {key}"
@@ -2163,8 +1822,8 @@ mod tests {
                 "missing runtime fused counter for {key}"
             );
         }
-        for entry in TRIPLE_TABLE {
-            let key = entry.kind.key();
+        for kind in TripleKind::ALL {
+            let key = kind.key();
             assert!(
                 counters.contains_key(&format!("vm.dispatch.fused.{key}")),
                 "missing static fused-triple counter for {key}"
@@ -2176,9 +1835,6 @@ mod tests {
         }
         assert!(counters.contains_key("vm.dispatch.ic.hits"));
         assert!(counters.contains_key("vm.dispatch.ic.misses"));
-        assert!(counters.contains_key("vm.dispatch.spec.fast_hits"));
-        assert!(counters.contains_key("vm.dispatch.spec.guard_fails"));
-        assert!(counters.contains_key("vm.dispatch.spec.demotions"));
         let gauges: Vec<&str> = reg.gauges().map(|(name, _)| name).collect();
         assert!(gauges.contains(&"vm.dispatch.ic.hit_rate"));
     }
@@ -2194,36 +1850,37 @@ mod tests {
             id: FuncId(0),
             name: "entry".into(),
             code: vec![
-                // 0/1/2: ImmPrimMov triple, executed in full.
+                // 0: s1 = 7 (an immediate then a move fuses nothing).
                 Instr::LoadImm {
-                    dst: a0,
+                    dst: s1,
                     imm: Imm::Fixnum(7),
                 },
-                Instr::Prim {
-                    op: Prim::Add,
-                    dst: RV,
-                    args: vec![a0, a0],
-                },
-                Instr::Mov { dst: s0, src: RV },
-                // 3: land on the *third* slot of the next triple.
-                Instr::Jump { target: 6 },
-                // 4/5/6: ImmPrimMov triple entered mid-triple — only
-                // `s1 <- rv` runs; the head and middle never execute.
+                // 1/2/3: MovImmPrim triple, executed in full:
+                // rv = 7 * 2.
+                Instr::Mov { dst: a0, src: s1 },
                 Instr::LoadImm {
-                    dst: a0,
-                    imm: Imm::Fixnum(100),
+                    dst: s0,
+                    imm: Imm::Fixnum(2),
                 },
                 Instr::Prim {
                     op: Prim::Mul,
                     dst: RV,
-                    args: vec![a0, a0],
+                    args: vec![a0, s0],
                 },
-                Instr::Mov { dst: s1, src: RV },
-                // 7: rv = s0 + a0 = 14 + 7 = 21.
+                // 4: land on the *third* slot of the next triple.
+                Instr::Jump { target: 7 },
+                // 5/6/7: MovImmPrim triple entered mid-triple — only
+                // `rv <- rv + s1` runs; the head and middle never
+                // execute.
+                Instr::Mov { dst: a0, src: RV },
+                Instr::LoadImm {
+                    dst: s1,
+                    imm: Imm::Fixnum(100),
+                },
                 Instr::Prim {
                     op: Prim::Add,
                     dst: RV,
-                    args: vec![s0, a0],
+                    args: vec![RV, s1],
                 },
                 Instr::Halt,
             ],
@@ -2238,23 +1895,17 @@ mod tests {
             constants: vec![],
             n_globals: 0,
         };
-        let full3: Vec<crate::decode::TripleEntry> = crate::decode::TripleKind::ALL
-            .iter()
-            .map(|&kind| crate::decode::TripleEntry {
-                kind,
-                dynamic_count: 1,
-            })
-            .collect();
-        // Empty pair table: the scan must still find both triples.
-        let decoded = DecodedProgram::decode_with_table(&p, &[], &full3);
+        let decoded = DecodedProgram::decode(&p);
         let stats = decoded.stats();
         assert_eq!(
-            stats.fused3(crate::decode::TripleKind::ImmPrimMov),
+            stats.fused3(TripleKind::MovImmPrim),
             2,
             "{}",
             decoded.disassemble()
         );
         assert_eq!(stats.fused_triples, 2);
+        // The triple wins over the MovImm pair at the same position.
+        assert_eq!(stats.fused_pairs, 0);
         // Slot preservation: decoded slot count = source + sentinel.
         assert_eq!(stats.decoded_ops, stats.source_instructions + 1);
         let out = Machine::from_decoded(&decoded, CostModel::alpha_like())
@@ -2269,9 +1920,77 @@ mod tests {
         assert_eq!(out.output, classic.output);
         // Only the first triple ran fused; the second was entered
         // mid-triple on a plain slot.
+        assert_eq!(out.dispatch.fused3(TripleKind::MovImmPrim), 1);
+    }
+
+    /// `run_profiled` counts dispatches per decoded slot on a
+    /// hand-assembled countdown loop, and its outcome is `run()`'s.
+    #[test]
+    fn run_profiled_counts_dispatches_per_slot() {
+        let a0 = arg_reg(0);
+        let s0 = scratch_reg(0);
+        let f = VmFunc {
+            id: FuncId(0),
+            name: "entry".into(),
+            code: vec![
+                // 0: counter = 3
+                Instr::LoadImm {
+                    dst: a0,
+                    imm: Imm::Fixnum(3),
+                },
+                // 1/2: CmpBranch pair — the loop test, run for 3, 2, 1, 0.
+                Instr::Prim {
+                    op: Prim::IsZero,
+                    dst: s0,
+                    args: vec![a0],
+                },
+                Instr::BranchTrue {
+                    src: s0,
+                    target: 5,
+                    likely: None,
+                },
+                // 3/4: the body, three trips.
+                Instr::Prim {
+                    op: Prim::Sub1,
+                    dst: a0,
+                    args: vec![a0],
+                },
+                Instr::Jump { target: 1 },
+                // 5/6: exit.
+                Instr::Mov { dst: RV, src: a0 },
+                Instr::Halt,
+            ],
+            frame_size: 0,
+            n_incoming: 0,
+            syntactic_leaf: true,
+            call_inevitable: false,
+        };
+        let p = VmProgram {
+            funcs: vec![f],
+            entry: FuncId(0),
+            constants: vec![],
+            n_globals: 0,
+        };
+        let decoded = DecodedProgram::decode(&p);
+        let plain = Machine::from_decoded(&decoded, CostModel::alpha_like())
+            .run()
+            .unwrap();
+        let (out, profile) = Machine::from_decoded(&decoded, CostModel::alpha_like())
+            .run_profiled()
+            .unwrap();
+        assert_eq!(out, plain);
+        assert_eq!(out.dispatch, plain.dispatch);
+        assert_eq!(out.value, "0");
+        // One counter per slot, the FuncEnd sentinel included. The
+        // branch at slot 2 runs only as the fused pair's second half,
+        // so it is never dispatched on its own.
+        assert_eq!(profile, vec![1, 4, 0, 3, 3, 1, 1, 0]);
+        // Every executed instruction is a dispatch or a fused tail.
+        let fused_tails: u64 = out.dispatch.fused_exec.iter().sum::<u64>()
+            + 2 * out.dispatch.fused_exec3.iter().sum::<u64>();
         assert_eq!(
-            out.dispatch.fused3(crate::decode::TripleKind::ImmPrimMov),
-            1
+            profile.iter().sum::<u64>() + fused_tails,
+            out.stats.instructions
         );
     }
 }

@@ -1,37 +1,44 @@
-//! Whole-catalogue mutation test for the fusion jump-target invariant.
+//! Whole-catalogue test for the fusion jump-target invariant.
 //!
-//! For **every** template in the [`FusionKind`] catalogue (a superset
-//! of whatever the generated table enables), this builds a synthetic
-//! program whose fused pair's *second half* is a branch target, then
+//! For **every** pair template in [`FusionKind`] and every triple
+//! template in [`TripleKind`], this builds a synthetic program in which
+//! each later slot of the fused group (the pair's second half, the
+//! triple's second and third parts) is a branch target once, then
 //! checks the two halves of the contract:
 //!
-//! 1. the second instruction's slot keeps its **plain** decoding (it is
-//!    byte-identical to the fusion-disabled decode of the same slot),
-//!    so a branch landing mid-pair executes exactly the original
+//! 1. each later slot keeps its **plain** decoding: it is identical to
+//!    the same instruction decoded between non-fusable neighbours, so a
+//!    branch landing mid-group executes exactly the original
 //!    instruction; and
 //! 2. the decoded engine's outcome — value, output, and every counter —
 //!    matches the classic engine's, which never fuses at all.
 //!
-//! Run against both the full catalogue (pins every handler, including
-//! templates measurement currently disables) and the committed
-//! generated table (pins the shipping configuration). A regression that
-//! fused the second slot, or re-executed the first half after a
-//! mid-pair landing, breaks the stats equality even when the final
+//! A regression that fused a later slot, or re-executed the head after
+//! a mid-group landing, breaks the stats equality even when the final
 //! value happens to agree.
 
 use lesgs_frontend::Prim;
 use lesgs_ir::machine::{arg_reg, scratch_reg, RV};
 use lesgs_vm::{
-    ClassicMachine, CostModel, DecodedProgram, FusionEntry, FusionKind, Imm, Instr, Machine,
-    SlotClass, TripleEntry, TripleKind, VmFunc, VmProgram, FUSION_TABLE, TRIPLE_TABLE,
+    ClassicMachine, CostModel, DecodedProgram, FusionKind, Imm, Instr, Machine, SlotClass,
+    TripleKind, VmFunc, VmProgram,
 };
 
-/// One per-template case: the setup that feeds the pair, the pair
-/// itself, and the tail that folds the pair's effects into `rv`.
-struct PairCase {
-    kind: FusionKind,
+/// The template a case exercises.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Template {
+    Pair(FusionKind),
+    Triple(TripleKind),
+}
+
+/// One per-template case: the setup that feeds the group, the group
+/// itself (two or three instructions), and the tail that folds its
+/// effects into `rv`. The group's later parts must be idempotent under
+/// re-execution, because the harness lands on each later slot once.
+struct Case {
+    template: Template,
     setup: Vec<Instr>,
-    pair: (Instr, Instr),
+    group: Vec<Instr>,
     finish: Vec<Instr>,
     expect: &'static str,
 }
@@ -51,27 +58,44 @@ fn add(dst: lesgs_ir::Reg, x: lesgs_ir::Reg, y: lesgs_ir::Reg) -> Instr {
     }
 }
 
-/// One case per catalogue template. Registers: `a`/`b` are inputs,
-/// `c`/`d` the pair's destinations; stack cases use frame slots 0/1.
-fn cases() -> Vec<PairCase> {
-    let (a, b, c, d) = (arg_reg(0), arg_reg(1), arg_reg(2), arg_reg(3));
-    let load = |dst, slot| Instr::StackLoad {
+fn load(dst: lesgs_ir::Reg, slot: u32) -> Instr {
+    Instr::StackLoad {
         dst,
         slot,
         class: SlotClass::Temp,
-    };
-    let store = |slot, src| Instr::StackStore {
+    }
+}
+
+fn store(slot: u32, src: lesgs_ir::Reg) -> Instr {
+    Instr::StackStore {
         slot,
         src,
         class: SlotClass::Temp,
+    }
+}
+
+fn mov(dst: lesgs_ir::Reg, src: lesgs_ir::Reg) -> Instr {
+    Instr::Mov { dst, src }
+}
+
+/// One case per pair template, in catalogue order. Registers: `a`/`b`
+/// are inputs, `c`/`d` the pair's destinations.
+fn pair_cases() -> Vec<Case> {
+    let (a, b, c, d) = (arg_reg(0), arg_reg(1), arg_reg(2), arg_reg(3));
+    let case = |kind, setup, group, finish, expect| Case {
+        template: Template::Pair(kind),
+        setup,
+        group,
+        finish,
+        expect,
     };
     vec![
-        PairCase {
-            // `brfalse` on a true predicate falls through both times the
-            // branch executes (fused, then landed-on).
-            kind: FusionKind::CmpBranch,
-            setup: vec![imm(a, 3), imm(b, 5)],
-            pair: (
+        // `brfalse` on a true predicate falls through both times the
+        // branch executes (fused, then landed-on).
+        case(
+            FusionKind::CmpBranch,
+            vec![imm(a, 3), imm(b, 5)],
+            vec![
                 Instr::Prim {
                     op: Prim::Lt,
                     dst: c,
@@ -83,103 +107,99 @@ fn cases() -> Vec<PairCase> {
                     target: u32::MAX,
                     likely: None,
                 },
-            ),
-            finish: vec![add(RV, a, b)],
-            expect: "8",
-        },
-        PairCase {
-            kind: FusionKind::MovMov,
-            setup: vec![imm(a, 3), imm(b, 5)],
-            pair: (Instr::Mov { dst: c, src: a }, Instr::Mov { dst: d, src: b }),
-            finish: vec![add(RV, c, d)],
-            expect: "8",
-        },
-        PairCase {
-            kind: FusionKind::ImmImm,
-            setup: vec![],
-            pair: (imm(c, 7), imm(d, 9)),
-            finish: vec![add(RV, c, d)],
-            expect: "16",
-        },
-        PairCase {
-            kind: FusionKind::ImmMov,
-            setup: vec![imm(a, 3)],
-            pair: (imm(c, 7), Instr::Mov { dst: d, src: a }),
-            finish: vec![add(RV, c, d)],
-            expect: "10",
-        },
-        PairCase {
-            kind: FusionKind::MovImm,
-            setup: vec![imm(a, 3)],
-            pair: (Instr::Mov { dst: c, src: a }, imm(d, 9)),
-            finish: vec![add(RV, c, d)],
-            expect: "12",
-        },
-        PairCase {
-            kind: FusionKind::LoadLoad,
-            setup: vec![imm(a, 3), imm(b, 5), store(0, a), store(1, b)],
-            pair: (load(c, 0), load(d, 1)),
-            finish: vec![add(RV, c, d)],
-            expect: "8",
-        },
-        PairCase {
-            kind: FusionKind::StoreStore,
-            setup: vec![imm(a, 3), imm(b, 5)],
-            pair: (store(0, a), store(1, b)),
-            finish: vec![load(c, 0), load(d, 1), add(RV, c, d)],
-            expect: "8",
-        },
+            ],
+            vec![add(RV, a, b)],
+            "8",
+        ),
+        case(
+            FusionKind::LoadLoad,
+            vec![imm(a, 3), imm(b, 5), store(0, a), store(1, b)],
+            vec![load(c, 0), load(d, 1)],
+            vec![add(RV, c, d)],
+            "8",
+        ),
+        case(
+            FusionKind::StoreStore,
+            vec![imm(a, 3), imm(b, 5)],
+            vec![store(0, a), store(1, b)],
+            vec![load(c, 0), load(d, 1), add(RV, c, d)],
+            "8",
+        ),
+        case(
+            FusionKind::MovMov,
+            vec![imm(a, 3), imm(b, 5)],
+            vec![mov(c, a), mov(d, b)],
+            vec![add(RV, c, d)],
+            "8",
+        ),
+        case(
+            FusionKind::MovImm,
+            vec![imm(a, 3)],
+            vec![mov(c, a), imm(d, 9)],
+            vec![add(RV, c, d)],
+            "12",
+        ),
     ]
 }
 
-/// Builds the harness around one case and returns the program plus the
-/// source indices of the pair's two halves:
-///
-/// ```text
-/// setup…
-/// guard <- 0
-/// sep   <- guard + guard     ; Prim separator: no template has a
-///                            ; Prim second half, so greedy scanning
-///                            ; always aligns on the pair's first op
-/// first:  pair.0
-/// second: pair.1             ; the branch target under test
-/// t     <- zero?(guard)
-/// guard <- 1
-/// brtrue t -> second         ; lands mid-pair exactly once
-/// finish…
-/// halt
-/// ```
-fn build_program(case: &PairCase) -> (VmProgram, u32, u32) {
-    let guard = scratch_reg(0);
-    let t = scratch_reg(1);
-    let mut code = case.setup.clone();
-    code.push(imm(guard, 0));
-    code.push(add(scratch_reg(2), guard, guard));
-    let first = code.len() as u32;
-    let second = first + 1;
-    code.push(case.pair.0.clone());
-    code.push(case.pair.1.clone());
-    code.push(Instr::Prim {
-        op: Prim::IsZero,
-        dst: t,
-        args: vec![guard],
-    });
-    code.push(imm(guard, 1));
-    code.push(Instr::BranchTrue {
-        src: t,
-        target: second,
-        likely: None,
-    });
-    // Patch the CmpBranch case's forward branch to the finish label.
-    let finish_label = code.len() as u32;
-    if let Instr::BranchFalse { target, .. } = &mut code[second as usize] {
-        if *target == u32::MAX {
-            *target = finish_label;
-        }
-    }
-    code.extend(case.finish.iter().cloned());
-    code.push(Instr::Halt);
-    let program = VmProgram {
+/// One case per triple template, in catalogue order.
+fn triple_cases() -> Vec<Case> {
+    let (a, b, c, d) = (arg_reg(0), arg_reg(1), arg_reg(2), arg_reg(3));
+    let case = |kind, setup, group, finish, expect| Case {
+        template: Template::Triple(kind),
+        setup,
+        group,
+        finish,
+        expect,
+    };
+    vec![
+        case(
+            TripleKind::PrimStoreMov,
+            vec![imm(a, 3), imm(b, 5)],
+            vec![add(c, a, b), store(0, c), mov(d, a)],
+            vec![load(c, 0), add(RV, c, d)],
+            "11",
+        ),
+        case(
+            TripleKind::LoadLoadLoad,
+            vec![
+                imm(a, 3),
+                store(0, a),
+                imm(b, 5),
+                store(1, b),
+                imm(a, 7),
+                store(2, a),
+            ],
+            vec![load(c, 0), load(d, 1), load(b, 2)],
+            vec![add(RV, c, d), add(RV, RV, b)],
+            "15",
+        ),
+        case(
+            TripleKind::MovImmPrim,
+            vec![imm(a, 3)],
+            vec![mov(c, a), imm(d, 9), add(RV, c, d)],
+            vec![],
+            "12",
+        ),
+        case(
+            TripleKind::StoreStoreStore,
+            vec![imm(a, 3), imm(b, 5)],
+            vec![store(0, a), store(1, b), store(2, a)],
+            vec![
+                load(c, 0),
+                load(d, 1),
+                add(RV, c, d),
+                load(c, 2),
+                add(RV, RV, c),
+            ],
+            "11",
+        ),
+    ]
+}
+
+/// A single-function program over `code` with a four-slot frame.
+fn program(code: Vec<Instr>) -> VmProgram {
+    VmProgram {
         funcs: vec![VmFunc {
             id: lesgs_frontend::FuncId(0),
             name: "entry".into(),
@@ -192,243 +212,43 @@ fn build_program(case: &PairCase) -> (VmProgram, u32, u32) {
         entry: lesgs_frontend::FuncId(0),
         constants: vec![],
         n_globals: 0,
-    };
-    (program, first, second)
-}
-
-/// Runs one case under one fusion table and applies the invariant
-/// checks. `must_fuse` asserts the pair actually fused (true when the
-/// table enables the case's template).
-fn check_case(case: &PairCase, table: &[FusionEntry], must_fuse: bool) {
-    let (program, first, second) = build_program(case);
-    let decoded = DecodedProgram::decode_with_table(&program, table, &[]);
-    let unfused = DecodedProgram::decode_with_table(&program, &[], &[]);
-    let kind = case.kind;
-
-    // Slot preservation makes pcs comparable across tables.
-    assert_eq!(
-        decoded.ops().len(),
-        unfused.ops().len(),
-        "{kind:?}: fusion must not change slot count"
-    );
-    if must_fuse {
-        assert!(
-            decoded.stats().fused(kind) >= 1,
-            "{kind:?}: pair did not fuse\n{}",
-            decoded.disassemble()
-        );
-        assert_ne!(
-            decoded.ops()[first as usize],
-            unfused.ops()[first as usize],
-            "{kind:?}: first slot should hold the fused op"
-        );
-    }
-    // The invariant under test: the second half — a branch target —
-    // keeps its plain decoding under EVERY table.
-    assert_eq!(
-        decoded.ops()[second as usize],
-        unfused.ops()[second as usize],
-        "{kind:?}: jump-target second half must decode unfused\n{}",
-        decoded.disassemble()
-    );
-
-    // And the mid-pair landing is observably equivalent: value, output,
-    // and every counter match the never-fusing classic engine.
-    let out = Machine::from_decoded(&decoded, CostModel::alpha_like())
-        .run()
-        .unwrap_or_else(|e| panic!("{kind:?}: decoded run failed: {e}"));
-    let classic = ClassicMachine::new(&program, CostModel::alpha_like())
-        .run()
-        .unwrap_or_else(|e| panic!("{kind:?}: classic run failed: {e}"));
-    assert_eq!(out.value, case.expect, "{kind:?}");
-    assert_eq!(out.value, classic.value, "{kind:?}");
-    assert_eq!(out.output, classic.output, "{kind:?}");
-    assert_eq!(out.stats, classic.stats, "{kind:?}: counter divergence");
-}
-
-/// Every catalogue template, full table: the pair fuses, the landed-on
-/// second half stays plain, outcomes match classic exactly.
-#[test]
-fn every_template_keeps_its_jump_target_fallback() {
-    let full: Vec<FusionEntry> = FusionKind::ALL
-        .iter()
-        .map(|&kind| FusionEntry {
-            kind,
-            dynamic_count: 1,
-        })
-        .collect();
-    let cases = cases();
-    // The harness is itself under test: make sure it covers the whole
-    // catalogue, so a new template cannot ship without a case here.
-    let covered: Vec<FusionKind> = cases.iter().map(|c| c.kind).collect();
-    assert_eq!(covered, FusionKind::ALL.to_vec(), "catalogue coverage gap");
-    for case in &cases {
-        check_case(case, &full, true);
     }
 }
 
-/// Same invariants under the committed generated table — the shipping
-/// configuration. Templates the measurement disabled simply don't
-/// fuse; enabled ones must, and the fallback holds either way.
-#[test]
-fn generated_table_keeps_its_jump_target_fallback() {
-    for case in &cases() {
-        let enabled = FUSION_TABLE.iter().any(|e| e.kind == case.kind);
-        check_case(case, FUSION_TABLE, enabled);
-    }
-}
-
-/// One per-triple-template case, mirroring [`PairCase`]: the triple's
-/// second AND third slots each become a branch target once.
-struct TripleCase {
-    kind: TripleKind,
-    setup: Vec<Instr>,
-    triple: (Instr, Instr, Instr),
-    finish: Vec<Instr>,
-    expect: &'static str,
-}
-
-/// One case per triple-catalogue template. Each triple's later parts
-/// must be idempotent under re-execution, because the harness lands on
-/// the second slot once (running parts 2+3 again) and on the third
-/// slot once (running part 3 again).
-fn triple_cases() -> Vec<TripleCase> {
-    let (a, b, c, d) = (arg_reg(0), arg_reg(1), arg_reg(2), arg_reg(3));
-    let load = |dst, slot| Instr::StackLoad {
-        dst,
-        slot,
-        class: SlotClass::Temp,
-    };
-    let store = |slot, src| Instr::StackStore {
-        slot,
-        src,
-        class: SlotClass::Temp,
-    };
-    let mov = |dst, src| Instr::Mov { dst, src };
-    vec![
-        TripleCase {
-            kind: TripleKind::PrimStoreMov,
-            setup: vec![imm(a, 3), imm(b, 5)],
-            triple: (add(c, a, b), store(0, c), mov(d, a)),
-            finish: vec![load(c, 0), add(RV, c, d)],
-            expect: "11",
-        },
-        TripleCase {
-            kind: TripleKind::StoreMovPrim,
-            setup: vec![imm(a, 3), imm(b, 5)],
-            triple: (store(0, a), mov(c, b), add(d, c, b)),
-            finish: vec![load(c, 0), add(RV, c, d)],
-            expect: "13",
-        },
-        TripleCase {
-            // `brfalse` on a true predicate falls through every time
-            // the branch executes (fused, then landed-on twice).
-            kind: TripleKind::MovCmpBranch,
-            setup: vec![imm(a, 3), imm(b, 5)],
-            triple: (
-                mov(c, a),
-                Instr::Prim {
-                    op: Prim::Lt,
-                    dst: d,
-                    args: vec![c, b],
-                },
-                Instr::BranchFalse {
-                    src: d,
-                    // Patched by `build_program3` to the finish label.
-                    target: u32::MAX,
-                    likely: None,
-                },
-            ),
-            finish: vec![add(RV, a, b)],
-            expect: "8",
-        },
-        TripleCase {
-            kind: TripleKind::MovImmPrim,
-            setup: vec![imm(a, 3)],
-            triple: (mov(c, a), imm(d, 9), add(RV, c, d)),
-            finish: vec![],
-            expect: "12",
-        },
-        TripleCase {
-            kind: TripleKind::LoadLoadLoad,
-            setup: vec![
-                imm(a, 3),
-                store(0, a),
-                imm(b, 5),
-                store(1, b),
-                imm(a, 7),
-                store(2, a),
-            ],
-            triple: (load(c, 0), load(d, 1), load(b, 2)),
-            finish: vec![add(RV, c, d), add(RV, RV, b)],
-            expect: "15",
-        },
-        TripleCase {
-            kind: TripleKind::StoreStoreStore,
-            setup: vec![imm(a, 3), imm(b, 5)],
-            triple: (store(0, a), store(1, b), store(2, a)),
-            finish: vec![
-                load(c, 0),
-                load(d, 1),
-                add(RV, c, d),
-                load(c, 2),
-                add(RV, RV, c),
-            ],
-            expect: "11",
-        },
-        TripleCase {
-            kind: TripleKind::LoadLoadStore,
-            setup: vec![imm(a, 3), imm(b, 5), store(0, a), store(1, b)],
-            triple: (load(c, 0), load(d, 1), store(2, c)),
-            finish: vec![load(b, 2), add(RV, d, b)],
-            expect: "8",
-        },
-        TripleCase {
-            kind: TripleKind::ImmPrimMov,
-            setup: vec![],
-            triple: (imm(c, 7), add(d, c, c), mov(b, d)),
-            finish: vec![add(RV, d, b)],
-            expect: "28",
-        },
-    ]
-}
-
-/// Builds the harness around one triple case and returns the program
-/// plus the source indices of the triple's three parts:
+/// Builds the harness around one case and returns the program plus the
+/// source index of the group's head:
 ///
 /// ```text
 /// setup…
-/// g1 <- 0 ; g2 <- 0
-/// jump first                 ; separator: `jump` appears in no pair
-///                            ; or triple template, so greedy scanning
-///                            ; always aligns on the triple's first op
-/// first:  triple.0
-/// second: triple.1           ; branch target (pass 1)
-/// third:  triple.2           ; branch target (pass 2)
+/// g1 <- 0 …                  ; one guard per later slot
+/// jump first                 ; separator: `jump` appears in no
+///                            ; template, so greedy scanning always
+///                            ; aligns on the group's first op
+/// first:  group[0]
+///         group[1..]         ; each a branch target once
+/// jump next                  ; separator: nothing fuses past the group
 /// t  <- zero?(g1)
 /// g1 <- 1
-/// brtrue t -> second         ; lands mid-triple on the second slot
-/// t  <- zero?(g2)
-/// g2 <- 1
-/// brtrue t -> third          ; lands mid-triple on the third slot
+/// brtrue t -> group[1]       ; lands mid-group
+/// …                          ; and likewise for group[2]
 /// finish…
 /// halt
 /// ```
-fn build_program3(case: &TripleCase) -> (VmProgram, u32, u32, u32) {
-    let g1 = scratch_reg(0);
-    let g2 = scratch_reg(1);
+fn build_program(case: &Case) -> (VmProgram, usize) {
     let t = scratch_reg(2);
+    let later = case.group.len() - 1;
+    let guards: Vec<_> = (0..later).map(scratch_reg).collect();
     let mut code = case.setup.clone();
-    code.push(imm(g1, 0));
-    code.push(imm(g2, 0));
-    let first = code.len() as u32 + 1;
-    code.push(Instr::Jump { target: first });
-    let second = first + 1;
-    let third = first + 2;
-    code.push(case.triple.0.clone());
-    code.push(case.triple.1.clone());
-    code.push(case.triple.2.clone());
-    for (guard, target) in [(g1, second), (g2, third)] {
+    code.extend(guards.iter().map(|&g| imm(g, 0)));
+    let first = code.len() + 1;
+    code.push(Instr::Jump {
+        target: first as u32,
+    });
+    code.extend(case.group.iter().cloned());
+    code.push(Instr::Jump {
+        target: code.len() as u32 + 1,
+    });
+    for (k, &guard) in guards.iter().enumerate() {
         code.push(Instr::Prim {
             op: Prim::IsZero,
             dst: t,
@@ -437,131 +257,123 @@ fn build_program3(case: &TripleCase) -> (VmProgram, u32, u32, u32) {
         code.push(imm(guard, 1));
         code.push(Instr::BranchTrue {
             src: t,
-            target,
+            target: (first + 1 + k) as u32,
             likely: None,
         });
     }
-    // Patch the MovCmpBranch case's forward branch to the finish label.
+    // Patch a forward branch inside the group to the finish label.
     let finish_label = code.len() as u32;
-    if let Instr::BranchFalse { target, .. } = &mut code[third as usize] {
-        if *target == u32::MAX {
-            *target = finish_label;
+    for instr in &mut code[first..first + case.group.len()] {
+        if let Instr::BranchFalse { target, .. } = instr {
+            if *target == u32::MAX {
+                *target = finish_label;
+            }
         }
     }
     code.extend(case.finish.iter().cloned());
     code.push(Instr::Halt);
-    let program = VmProgram {
-        funcs: vec![VmFunc {
-            id: lesgs_frontend::FuncId(0),
-            name: "entry".into(),
-            code,
-            frame_size: 4,
-            n_incoming: 0,
-            syntactic_leaf: true,
-            call_inevitable: false,
-        }],
-        entry: lesgs_frontend::FuncId(0),
-        constants: vec![],
-        n_globals: 0,
-    };
-    (program, first, second, third)
+    (program(code), first)
 }
 
-/// Runs one triple case under one (pair, triple) table combination.
-/// `check_slots` additionally pins the slot-preservation mechanics —
-/// meaningful with an empty pair table, where nothing else can occupy
-/// the triple's later slots.
-fn check_case3(
-    case: &TripleCase,
-    pairs: &[FusionEntry],
-    triples: &[TripleEntry],
-    must_fuse: bool,
-    check_slots: bool,
-) {
-    let (program, first, second, third) = build_program3(case);
-    let decoded = DecodedProgram::decode_with_table(&program, pairs, triples);
-    let unfused = DecodedProgram::decode_with_table(&program, &[], &[]);
-    let kind = case.kind;
+/// Decodes `p` with every instruction but the one at `slot` replaced by
+/// a fall-through `jump`, which no template contains: the op at `slot`
+/// is then its plain decoding, at the same pc with the same branch
+/// rebasing as in `p`.
+fn decode_isolated(p: &VmProgram, slot: usize) -> DecodedProgram {
+    let code = p.funcs[0]
+        .code
+        .iter()
+        .enumerate()
+        .map(|(i, instr)| {
+            if i == slot {
+                instr.clone()
+            } else {
+                Instr::Jump {
+                    target: i as u32 + 1,
+                }
+            }
+        })
+        .collect();
+    let isolated = DecodedProgram::decode(&program(code));
+    let s = isolated.stats();
+    assert_eq!((s.fused_pairs, s.fused_triples), (0, 0), "harness fused");
+    isolated
+}
 
-    // Slot preservation makes pcs comparable across tables.
-    assert_eq!(
-        decoded.ops().len(),
-        unfused.ops().len(),
-        "{kind:?}: fusion must not change slot count"
+/// Runs one case and applies the invariant checks.
+fn check_case(case: &Case) {
+    let template = case.template;
+    let (p, first) = build_program(case);
+    let decoded = DecodedProgram::decode(&p);
+    let stats = decoded.stats();
+    let fused = match template {
+        Template::Pair(kind) => stats.fused(kind),
+        Template::Triple(kind) => stats.fused3(kind),
+    };
+    assert!(
+        fused >= 1,
+        "{template:?}: group did not fuse\n{}",
+        decoded.disassemble()
     );
-    if must_fuse {
-        assert!(
-            decoded.stats().fused3(kind) >= 1,
-            "{kind:?}: triple did not fuse\n{}",
+    assert_ne!(
+        decoded.ops()[first],
+        decode_isolated(&p, first).ops()[first],
+        "{template:?}: first slot should hold the fused op"
+    );
+    // The invariant under test: every later slot — a branch target —
+    // keeps its plain decoding.
+    for slot in first + 1..first + case.group.len() {
+        assert_eq!(
+            decoded.ops()[slot],
+            decode_isolated(&p, slot).ops()[slot],
+            "{template:?}: jump-target slot {slot} must decode unfused\n{}",
             decoded.disassemble()
         );
     }
-    if check_slots {
-        if must_fuse {
-            assert_ne!(
-                decoded.ops()[first as usize],
-                unfused.ops()[first as usize],
-                "{kind:?}: first slot should hold the fused op"
-            );
-        }
-        // The invariant under test: both later slots — branch targets —
-        // keep their plain decodings.
-        for (label, slot) in [("second", second), ("third", third)] {
-            assert_eq!(
-                decoded.ops()[slot as usize],
-                unfused.ops()[slot as usize],
-                "{kind:?}: jump-target {label} slot must decode unfused\n{}",
-                decoded.disassemble()
-            );
-        }
-    }
 
-    // Mid-triple landings are observably equivalent: value, output,
-    // and every counter match the never-fusing classic engine.
+    // Mid-group landings are observably equivalent: value, output, and
+    // every counter match the never-fusing classic engine.
     let out = Machine::from_decoded(&decoded, CostModel::alpha_like())
         .run()
-        .unwrap_or_else(|e| panic!("{kind:?}: decoded run failed: {e}"));
-    let classic = ClassicMachine::new(&program, CostModel::alpha_like())
+        .unwrap_or_else(|e| panic!("{template:?}: decoded run failed: {e}"));
+    let classic = ClassicMachine::new(&p, CostModel::alpha_like())
         .run()
-        .unwrap_or_else(|e| panic!("{kind:?}: classic run failed: {e}"));
-    assert_eq!(out.value, case.expect, "{kind:?}");
-    assert_eq!(out.value, classic.value, "{kind:?}");
-    assert_eq!(out.output, classic.output, "{kind:?}");
-    assert_eq!(out.stats, classic.stats, "{kind:?}: counter divergence");
+        .unwrap_or_else(|e| panic!("{template:?}: classic run failed: {e}"));
+    assert_eq!(out.value, case.expect, "{template:?}");
+    assert_eq!(out.value, classic.value, "{template:?}");
+    assert_eq!(out.output, classic.output, "{template:?}");
+    assert_eq!(out.stats, classic.stats, "{template:?}: counter divergence");
+    let fired = match template {
+        Template::Pair(kind) => out.dispatch.fused(kind),
+        Template::Triple(kind) => out.dispatch.fused3(kind),
+    };
+    assert!(fired >= 1, "{template:?}: fused handler never ran");
 }
 
-/// Every triple template, full triple table and no pair fusion: the
-/// triple fuses, both landed-on later slots stay plain, outcomes match
-/// classic exactly.
+/// Every pair template: the pair fuses, the landed-on second half stays
+/// plain, outcomes match classic exactly.
 #[test]
-fn every_triple_template_keeps_its_jump_target_fallbacks() {
-    let full: Vec<TripleEntry> = TripleKind::ALL
-        .iter()
-        .map(|&kind| TripleEntry {
-            kind,
-            dynamic_count: 1,
-        })
-        .collect();
-    let cases = triple_cases();
-    // Coverage tripwire: a new triple template cannot ship without a
-    // mid-triple landing case here.
-    let covered: Vec<TripleKind> = cases.iter().map(|c| c.kind).collect();
-    assert_eq!(covered, TripleKind::ALL.to_vec(), "catalogue coverage gap");
+fn every_template_keeps_its_jump_target_fallback() {
+    let cases = pair_cases();
+    // The harness is itself under test: make sure it covers the whole
+    // catalogue, so a new template cannot ship without a case here.
+    let covered: Vec<Template> = cases.iter().map(|c| c.template).collect();
+    let all: Vec<Template> = FusionKind::ALL.map(Template::Pair).to_vec();
+    assert_eq!(covered, all, "catalogue coverage gap");
     for case in &cases {
-        check_case3(case, &[], &full, true, true);
+        check_case(case);
     }
 }
 
-/// Same programs under the committed generated tables — the shipping
-/// configuration, where pair templates may also claim slots near a
-/// disabled triple. Enabled triples must fuse; either way the decoded
-/// run must match classic on every counter. Slot-identity checks are
-/// skipped because a legitimately-fused *pair* may occupy a later slot
-/// when its triple is disabled.
+/// Every triple template: the triple fuses, both landed-on later slots
+/// stay plain, outcomes match classic exactly.
 #[test]
-fn generated_triple_table_keeps_its_jump_target_fallbacks() {
-    for case in &triple_cases() {
-        let enabled = TRIPLE_TABLE.iter().any(|e| e.kind == case.kind);
-        check_case3(case, FUSION_TABLE, TRIPLE_TABLE, enabled, false);
+fn every_triple_template_keeps_its_jump_target_fallbacks() {
+    let cases = triple_cases();
+    let covered: Vec<Template> = cases.iter().map(|c| c.template).collect();
+    let all: Vec<Template> = TripleKind::ALL.map(Template::Triple).to_vec();
+    assert_eq!(covered, all, "catalogue coverage gap");
+    for case in &cases {
+        check_case(case);
     }
 }
